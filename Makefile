@@ -1,9 +1,9 @@
 GO ?= go
 BENCH_COUNT ?= 3
 
-.PHONY: check fmt vet build test race bench bench-json chaos
+.PHONY: check fmt vet build test race bench bench-json chaos fuzz
 
-check: fmt vet build race bench chaos
+check: fmt vet build race bench chaos fuzz
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -21,24 +21,21 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Seeded chaos soak: the fault-injection sweep (failed runs, corrupt
-# series, broken stores at 0%/5%/20%), the fault unit tests, the
-# serving layer's overload/shutdown/drain paths, the batch
-# scheduler/coalescer (per-job error isolation under injected faults),
-# the sharded store's crash/eviction/migration paths, the cluster
-# plane's node-level chaos (lease failover, requeue, partition, seeded
-# worker kills), the Cleaner seam (registry, per-cleaner cache-key
-# separation, Bayesian determinism across worker counts), and the
-# fingerprint subsystem (embedding determinism, index rebuilds,
-# classify caching across index versions), run twice under the race
-# detector. Deterministic — a failure here is a real regression, not
-# flakiness.
+# Seeded chaos soak (the selection and what it covers are listed in
+# scripts/lists.sh), run twice under the race detector. Deterministic —
+# a failure here is a real regression, not flakiness.
 chaos:
-	$(GO) test -race -count=2 -run 'Chaos|Retry|Injection|Transient|Permanent|Corruption|Sink|KeyedRNG|Cancel|Overload|Shutdown|Drain|Batch|Schedule|Coalesce|Shard|Evict|Migrate|Cluster|Lease|Failover|Partition|Cleaner|Bayes|Classify|Fingerprint|Index|Stream|Handle|Priority' . ./internal/fault/ ./internal/serve/ ./internal/batch/ ./internal/store/ ./internal/cluster/ ./internal/clean/ ./internal/fingerprint/ ./internal/stream/
+	. ./scripts/lists.sh && $(GO) test -race -count=2 -run "$$CHAOS_LIST" $$CHAOS_PKG_LIST
 
-# Short allocation-aware sweep over the hot-path micro-benchmarks.
+# Bounded fuzzing of the serialised-ensemble decoder, seeded from
+# internal/sgbrt/testdata/fuzz/FuzzLoad.
+fuzz:
+	$(GO) test -run='^$$' -fuzz='^FuzzLoad$$' -fuzztime=10s ./internal/sgbrt/
+
+# Short allocation-aware sweep over the hot-path micro-benchmarks
+# listed in scripts/lists.sh.
 bench:
-	$(GO) test -run=^$$ -bench='Fit|BuildTreeOrdered|PredictAll|RankPairs|Distance|BatchSchedule|Store|Ring|Heartbeat|RegistryPick|BayesClean|ThresholdKNNClean|Embed|IndexLookup|PrioritySchedule|StreamFanout' -benchtime=1x -benchmem ./internal/sgbrt/ ./internal/interact/ ./internal/dtw/ ./internal/batch/ ./internal/store/ ./internal/cluster/ ./internal/clean/ ./internal/fingerprint/ ./internal/stream/
+	. ./scripts/lists.sh && $(GO) test -run='^$$' -bench="$$BENCH_LIST" -benchtime=1x -benchmem $$BENCH_PKG_LIST
 
 # Same sweep, repeated BENCH_COUNT times and written to an
 # auto-numbered machine-readable BENCH_<n>.json report.

@@ -91,19 +91,38 @@ func Fit(X [][]float64, y []float64, events []string, opts Options) (*Model, err
 // underlying sgbrt.FitCtx: a done context aborts between boosting
 // stages and surfaces as ctx.Err().
 func FitCtx(ctx context.Context, X [][]float64, y []float64, events []string, opts Options) (*Model, error) {
-	if len(X) == 0 {
-		return nil, errors.New("rank: empty training set")
-	}
-	if len(X[0]) != len(events) {
-		return nil, fmt.Errorf("rank: %d columns but %d event names", len(X[0]), len(events))
-	}
 	opts = opts.withDefaults()
-
-	trainX, trainY, testX, testY, err := split(X, y, opts.TestFraction, opts.Seed)
+	train, trainY, testX, testY, err := binnedSplit(X, y, events, opts)
 	if err != nil {
 		return nil, err
 	}
-	ens, err := sgbrt.FitCtx(ctx, trainX, trainY, opts.Params)
+	return fitBinned(ctx, train, trainY, testX, testY, events, opts)
+}
+
+// binnedSplit checks X against the event names, carves off the test
+// rows, and bins the training rows.
+func binnedSplit(X [][]float64, y []float64, events []string, opts Options) (train *sgbrt.Binned, trainY []float64, testX [][]float64, testY []float64, err error) {
+	if len(X) == 0 {
+		return nil, nil, nil, nil, errors.New("rank: empty training set")
+	}
+	if len(X[0]) != len(events) {
+		return nil, nil, nil, nil, fmt.Errorf("rank: %d columns but %d event names", len(X[0]), len(events))
+	}
+	trainX, trainY, testX, testY, err := split(X, y, opts.TestFraction, opts.Seed)
+	if err != nil {
+		return nil, nil, nil, nil, err
+	}
+	train, err = sgbrt.Bin(trainX, opts.Params.Workers)
+	if err != nil {
+		return nil, nil, nil, nil, err
+	}
+	return train, trainY, testX, testY, nil
+}
+
+// fitBinned fits and scores one model on an already binned training
+// split; testX has the same columns as train.
+func fitBinned(ctx context.Context, train *sgbrt.Binned, trainY []float64, testX [][]float64, testY []float64, events []string, opts Options) (*Model, error) {
+	ens, err := sgbrt.FitBinnedCtx(ctx, train, trainY, opts.Params)
 	if err != nil {
 		return nil, err
 	}
@@ -200,6 +219,13 @@ func EIRCtx(ctx context.Context, X [][]float64, y []float64, events []string, op
 	if len(events) == 0 {
 		return nil, errors.New("rank: EIR with no events")
 	}
+	// Every round scores on the same train/test split and only drops
+	// columns, so the training split is binned once and each refit takes
+	// a column subset of it.
+	train, trainY, testX, testY, err := binnedSplit(X, y, events, opts)
+	if err != nil {
+		return nil, err
+	}
 	cur := append([]string(nil), events...)
 	colIdx := make(map[string]int, len(events))
 	for i, ev := range events {
@@ -211,11 +237,11 @@ func EIRCtx(ctx context.Context, X [][]float64, y []float64, events []string, op
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		subX, err := columns(X, cur, colIdx)
-		if err != nil {
-			return nil, err
+		idx := make([]int, len(cur))
+		for j, ev := range cur {
+			idx[j] = colIdx[ev]
 		}
-		m, err := FitCtx(ctx, subX, y, cur, opts)
+		m, err := fitBinned(ctx, train.Columns(idx), trainY, columns(testX, idx), testY, cur, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -251,26 +277,17 @@ func EIRCtx(ctx context.Context, X [][]float64, y []float64, events []string, op
 	return res, nil
 }
 
-// columns extracts the named columns of X (by the original column
-// index map) into a new matrix.
-func columns(X [][]float64, events []string, colIdx map[string]int) ([][]float64, error) {
-	cols := make([]int, len(events))
-	for j, ev := range events {
-		i, ok := colIdx[ev]
-		if !ok {
-			return nil, fmt.Errorf("rank: event %q not in original matrix", ev)
-		}
-		cols[j] = i
-	}
+// columns extracts the given columns of X into a new matrix.
+func columns(X [][]float64, idx []int) [][]float64 {
 	out := make([][]float64, len(X))
 	for r, row := range X {
-		sub := make([]float64, len(cols))
-		for j, c := range cols {
+		sub := make([]float64, len(idx))
+		for j, c := range idx {
 			sub[j] = row[c]
 		}
 		out[r] = sub
 	}
-	return out, nil
+	return out
 }
 
 // TopK returns the k most important events of the model (fewer if the

@@ -1,6 +1,7 @@
 package rank
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -185,5 +186,48 @@ func TestSplitDeterministic(t *testing.T) {
 	}
 	if m1.TestError != m2.TestError {
 		t.Error("same seed, different test error")
+	}
+}
+
+// TestEIRBinOnceMatchesFreshFit: EIR bins the training split once and
+// refits column subsets of it; every step's model must be the one a
+// fresh Fit on that step's column subset of X produces, byte for byte.
+func TestEIRBinOnceMatchesFreshFit(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	X, y, events := synthData(rng, 300, 3, 20)
+	opts := Options{Params: sgbrt.Params{Trees: 15, MaxDepth: 4, Seed: 2}, PruneStep: 5, Seed: 4}
+	res, err := EIR(X, y, events, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Steps) < 3 {
+		t.Fatalf("EIR ran %d steps, want several", len(res.Steps))
+	}
+	col := make(map[string]int, len(events))
+	for i, ev := range events {
+		col[ev] = i
+	}
+	for k, st := range res.Steps {
+		idx := make([]int, len(st.Model.Events))
+		for j, ev := range st.Model.Events {
+			idx[j] = col[ev]
+		}
+		fresh, err := Fit(columns(X, idx), y, st.Model.Events, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var a, b bytes.Buffer
+		if err := st.Model.Ensemble.Save(&a); err != nil {
+			t.Fatal(err)
+		}
+		if err := fresh.Ensemble.Save(&b); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Errorf("step %d (%d events): bin-once ensemble differs from a fresh fit", k, st.NumEvents)
+		}
+		if st.TestError != fresh.TestError {
+			t.Errorf("step %d: test error %v, fresh fit %v", k, st.TestError, fresh.TestError)
+		}
 	}
 }

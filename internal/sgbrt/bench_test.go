@@ -1,7 +1,9 @@
 package sgbrt
 
 import (
+	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -23,36 +25,40 @@ func benchMatrix(n, p int) ([][]float64, []float64) {
 	return X, y
 }
 
+// BenchmarkFit fits one model at the Rank stage's production shape:
+// the 936-row training split of a default analysis over all 229
+// events, 80 trees of depth 4 on 0.7 subsamples. EIR runs ~22 of these
+// per analysis on shrinking column subsets.
 func BenchmarkFit(b *testing.B) {
-	X, y := benchMatrix(600, 40)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Fit(X, y, Params{Trees: 40, Seed: 1}); err != nil {
-			b.Fatal(err)
-		}
+	X, y := benchMatrix(936, 229)
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			p := Params{Trees: 80, MaxDepth: 4, Subsample: 0.7, Seed: 1, Workers: workers}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Fit(X, y, p); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
-func BenchmarkFitParallel(b *testing.B) {
-	X, y := benchMatrix(600, 40)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Fit(X, y, Params{Trees: 40, Seed: 1, Workers: 8}); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkBuildTree grows one depth-4 tree over a 0.7 subsample of a
+// production-shape matrix binned once, the unit of work EIR repeats.
+func BenchmarkBuildTree(b *testing.B) {
+	X, y := benchMatrix(936, 229)
+	bm, err := Bin(X, 1)
+	if err != nil {
+		b.Fatal(err)
 	}
-}
-
-func BenchmarkBuildTreeOrdered(b *testing.B) {
-	X, y := benchMatrix(600, 40)
-	orders := sortOrders(X, allIdx(len(X)))
-	p := TreeParams{MaxDepth: 4}
+	rows := rand.New(rand.NewSource(1)).Perm(len(X))[:655]
+	sort.Ints(rows)
+	tb := newBuilder(bm, y, TreeParams{MaxDepth: 4, Workers: 1})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := buildTreeOrdered(X, y, orders, p); err != nil {
+		if _, err := tb.build(rows); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -81,21 +81,21 @@ func Fit(X [][]float64, y []float64, params Params) (*Ensemble, error) {
 // bounded by one tree induction, and a done context surfaces as
 // ctx.Err() with no partial ensemble.
 func FitCtx(ctx context.Context, X [][]float64, y []float64, params Params) (*Ensemble, error) {
-	n := len(X)
-	if n == 0 {
-		return nil, errors.New("sgbrt: empty training set")
+	bm, err := Bin(X, params.Workers)
+	if err != nil {
+		return nil, err
 	}
+	return FitBinnedCtx(ctx, bm, y, params)
+}
+
+// FitBinnedCtx is FitCtx over an already binned training matrix, so
+// callers that fit many models on one matrix (or on column subsets of
+// it, via Binned.Columns) bin it once. The ensemble is the one FitCtx
+// returns for the same rows and columns.
+func FitBinnedCtx(ctx context.Context, bm *Binned, y []float64, params Params) (*Ensemble, error) {
+	n, p := bm.n, len(bm.cols)
 	if len(y) != n {
 		return nil, fmt.Errorf("sgbrt: %d rows but %d targets", n, len(y))
-	}
-	p := len(X[0])
-	for i, row := range X {
-		if len(row) != p {
-			return nil, fmt.Errorf("sgbrt: ragged row %d", i)
-		}
-		if !validRow(row) {
-			return nil, fmt.Errorf("sgbrt: row %d contains NaN/Inf", i)
-		}
 	}
 	params = params.withDefaults()
 	rng := rand.New(rand.NewSource(params.Seed))
@@ -121,20 +121,12 @@ func FitCtx(ctx context.Context, X [][]float64, y []float64, params Params) (*En
 	if sampleSize < 2 {
 		sampleSize = n
 	}
-
-	// Column-major copy of the training matrix: split scans and
-	// stage-update traversals walk one contiguous slice per feature.
-	cols := toColumns(X)
-
-	// Pre-sort every feature once; each stage filters the global order
-	// down to its subsample instead of re-sorting (the standard
-	// presorted-CART optimisation).
-	fullOrders := sortOrdersCols(cols, n, workers)
 	keep := make([]bool, n)
+	rows := make([]int, 0, sampleSize)
 
 	// One builder reused for every stage: trees fit the residuals, so
 	// the builder's target is the residual buffer updated in place.
-	tb := newBuilder(cols, residual, TreeParams{
+	tb := newBuilder(bm, residual, TreeParams{
 		MaxDepth: params.MaxDepth,
 		MinLeaf:  params.MinLeaf,
 		Workers:  params.Workers,
@@ -169,22 +161,20 @@ func FitCtx(ctx context.Context, X [][]float64, y []float64, params Params) (*En
 		for i := range residual {
 			residual[i] = y[i] - F[i]
 		}
-		// Stochastic row subsample without replacement.
+		// Stochastic row subsample without replacement, walked in row
+		// order so histogram fills read the code columns sequentially.
 		rng.Shuffle(n, func(a, b int) { perm[a], perm[b] = perm[b], perm[a] })
-		idx := perm[:sampleSize]
-		for i := range keep {
-			keep[i] = false
-		}
-		for _, i := range idx {
+		clear(keep)
+		for _, i := range perm[:sampleSize] {
 			keep[i] = true
 		}
-
-		if sampleSize == n {
-			tb.load(fullOrders)
-		} else {
-			tb.loadFiltered(fullOrders, keep)
+		rows = rows[:0]
+		for i, k := range keep {
+			if k {
+				rows = append(rows, i)
+			}
 		}
-		tree, err := tb.build()
+		tree, err := tb.build(rows)
 		if err != nil {
 			return nil, err
 		}
@@ -195,7 +185,7 @@ func FitCtx(ctx context.Context, X [][]float64, y []float64, params Params) (*En
 		lr := params.LearningRate
 		update := func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				F[i] += lr * tree.predictRow(cols, i)
+				F[i] += lr * tree.predictRow(bm.cols, i)
 			}
 		}
 		if workers > 1 && n >= parallelRowThreshold {

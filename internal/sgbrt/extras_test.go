@@ -52,29 +52,46 @@ func TestLoadRejectsGarbage(t *testing.T) {
 }
 
 func TestLoadRejectsBadIndices(t *testing.T) {
-	img := wireEnsemble{
-		Version:   wireVersion,
-		NFeatures: 2,
-		Trees: []wireTree{{
+	cases := []struct {
+		name string
+		img  wireEnsemble
+	}{
+		{"out-of-range children", wireEnsemble{
+			Version:   wireVersion,
 			NFeatures: 2,
-			Nodes:     []wireNode{{Feature: 0, Left: 5, Right: 6}},
+			Trees: []wireTree{{
+				NFeatures: 2,
+				Nodes:     []wireNode{{Feature: 0, Left: 5, Right: 6}},
+			}},
 		}},
+		// A tree wider than its model would index past the row in Predict.
+		{"tree wider than model", wireEnsemble{
+			Version:   wireVersion,
+			NFeatures: 2,
+			Trees: []wireTree{{
+				NFeatures: 3,
+				Nodes:     []wireNode{{Feature: -1, Value: 1}},
+			}},
+		}},
+		// A node that is its own child would make Predict loop forever.
+		{"self-loop", wireEnsemble{
+			Version:   wireVersion,
+			NFeatures: 2,
+			Trees: []wireTree{{
+				NFeatures: 2,
+				Nodes:     []wireNode{{Feature: 0, Left: 0, Right: 0}},
+			}},
+		}},
+		{"bad version", wireEnsemble{Version: 99, NFeatures: 1}},
 	}
-	var buf bytes.Buffer
-	if err := encodeWire(&buf, &img); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(&buf); err == nil {
-		t.Error("out-of-range children should error")
-	}
-
-	img = wireEnsemble{Version: 99, NFeatures: 1}
-	buf.Reset()
-	if err := encodeWire(&buf, &img); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(&buf); err == nil {
-		t.Error("bad version should error")
+	for _, tc := range cases {
+		var buf bytes.Buffer
+		if err := encodeWire(&buf, &tc.img); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(&buf); err == nil {
+			t.Errorf("%s: Load should error", tc.name)
+		}
 	}
 }
 

@@ -26,11 +26,7 @@ func TestTreePredictionBoundedProperty(t *testing.T) {
 				max = y[i]
 			}
 		}
-		idx := make([]int, n)
-		for i := range idx {
-			idx[i] = i
-		}
-		tree, err := buildTree(X, y, idx, TreeParams{MaxDepth: 4})
+		tree, err := fitTree(X, y, TreeParams{MaxDepth: 4})
 		if err != nil {
 			return false
 		}

@@ -74,13 +74,18 @@ func Load(r io.Reader) (*Ensemble, error) {
 	}
 	e := &Ensemble{params: img.Params, base: img.Base, nFeatures: img.NFeatures}
 	for _, wt := range img.Trees {
+		if wt.NFeatures != img.NFeatures {
+			return nil, fmt.Errorf("sgbrt: load: tree has %d features, model %d", wt.NFeatures, img.NFeatures)
+		}
 		t := &Tree{nFeatures: wt.NFeatures}
-		for _, wn := range wt.Nodes {
+		for i, wn := range wt.Nodes {
 			if wn.Feature >= t.nFeatures {
 				return nil, fmt.Errorf("sgbrt: load: split feature %d out of range", wn.Feature)
 			}
+			// Children always follow their parent in the node slice, so a
+			// decoded tree cannot cycle.
 			if wn.Feature >= 0 &&
-				(wn.Left < 0 || wn.Left >= len(wt.Nodes) || wn.Right < 0 || wn.Right >= len(wt.Nodes)) {
+				(wn.Left <= i || wn.Left >= len(wt.Nodes) || wn.Right <= i || wn.Right >= len(wt.Nodes)) {
 				return nil, errors.New("sgbrt: load: child index out of range")
 			}
 			t.nodes = append(t.nodes, node{

@@ -6,32 +6,61 @@
 // splits on that feature, averaged across the ensemble and normalised
 // to percentages.
 //
-// Tree induction runs over a column-major copy of the training matrix
-// (split scans walk one contiguous slice per feature) and reuses all
-// partition buffers across nodes and boosting stages. The split search
-// is feature-parallel with a deterministic tie-break — equal-gain
-// splits go to the lowest feature index, then the lowest threshold —
-// so the induced tree is identical for every worker count.
+// Trees are induced over histograms, as in LightGBM (Ke et al. 2017):
+//
+//   - Binning. Bin quantises every column once into at most maxBins
+//     (64) equal-frequency bins over its distinct values; a column with
+//     at most 64 distinct values gets one bin per value, so it splits
+//     exactly where exact CART would. A bin edge is the midpoint
+//     between the largest value of one bin and the smallest of the
+//     next, and it is the raw threshold a split on that edge stores, so
+//     Tree, Predict and the serialised form are the same as for exact
+//     split search. Binning is the caller's to share: the ranker bins
+//     its training split once per analysis and every EIR refit takes a
+//     column subset of it.
+//   - Histograms. A node holds one (sum of targets, row count) entry
+//     per bin per feature. Only the smaller child of a split is built
+//     from its rows; the larger child is the parent minus the smaller,
+//     computed in place, with an empty bin's sum reset to an exact
+//     zero. Rows are kept in one index array that each split
+//     partitions once.
+//   - Split scan. The gain of a split is ls²/nl + rs²/nr − s²/n, read
+//     from a per-builder reciprocal table, so the scan never divides.
+//     A candidate must beat the running best by more than gainEpsilon:
+//     equal-gain splits go to the lowest feature index, then to the
+//     lowest bin edge.
+//
+// Trees grow level by level. The histogram work of a whole level fans
+// out over contiguous feature blocks, one task per worker; each
+// feature's candidate lands in its own slot and the reduce runs
+// serially in feature order, so the induced tree is identical for
+// every worker count.
 package sgbrt
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync"
 
 	"counterminer/internal/parallel"
 )
 
+// maxBins bounds the number of histogram bins per feature.
+const maxBins = 64
+
 // gainEpsilon is the minimum gain margin for one split candidate to
 // beat another; candidates within it are ties and lose to the earlier
-// (lower-threshold, then lower-feature-index) candidate.
+// (lower-edge, then lower-feature-index) candidate.
 const gainEpsilon = 1e-12
 
-// parallelNodeThreshold is the minimum segment-rows × features product
-// before a node's split search and partition fan out to the pool;
-// below it the goroutine handoff costs more than the scan.
-const parallelNodeThreshold = 4096
+// parallelWork is the minimum histogram work of a fan-out, in
+// histogram entries touched (rows filled plus bins scanned, summed
+// over features), before it splits across workers; below it the
+// goroutine handoff costs more than the work.
+const parallelWork = 1 << 15
 
 // node is one node of a CART regression tree stored in a flat slice.
 type node struct {
@@ -67,9 +96,9 @@ type TreeParams struct {
 	// FeatureMask, when non-nil, restricts splits to features with
 	// mask[f] == true (per-tree column subsampling).
 	FeatureMask []bool
-	// Workers bounds the feature-parallel split search and partition;
-	// <= 0 uses GOMAXPROCS. The induced tree is identical for every
-	// worker count.
+	// Workers bounds the feature-parallel histogram work; <= 0 uses
+	// GOMAXPROCS. The induced tree is identical for every worker
+	// count.
 	Workers int
 }
 
@@ -83,353 +112,460 @@ func (p TreeParams) withDefaults() TreeParams {
 	return p
 }
 
-// toColumns transposes the row-major training matrix into column-major
-// storage (one backing array) so split scans and tree traversals walk
-// contiguous memory per feature.
-func toColumns(X [][]float64) [][]float64 {
-	if len(X) == 0 {
-		return nil
+// Binned is a training matrix quantised for histogram induction: the
+// raw columns (for stage updates), each column's bin codes, and each
+// column's bin edges. It is immutable once built, so one Binned can
+// back any number of fits, concurrent ones included.
+type Binned struct {
+	n     int
+	cols  [][]float64 // cols[f][row], raw values
+	codes [][]uint8   // codes[f][row], bin of the raw value
+	edges [][]float64 // edges[f][b] separates bin b from bin b+1
+}
+
+// Bin validates X (non-empty, rectangular, finite) and quantises every
+// column into at most 64 bins. Columns bin independently, concurrently
+// on up to workers goroutines (<= 0 uses GOMAXPROCS); the result does
+// not depend on the worker count.
+func Bin(X [][]float64, workers int) (*Binned, error) {
+	n := len(X)
+	if n == 0 {
+		return nil, errors.New("sgbrt: empty training set")
 	}
-	n, nf := len(X), len(X[0])
-	buf := make([]float64, nf*n)
-	cols := make([][]float64, nf)
-	for f := range cols {
-		cols[f] = buf[f*n : (f+1)*n]
+	nf := len(X[0])
+	for i, row := range X {
+		if len(row) != nf {
+			return nil, fmt.Errorf("sgbrt: ragged row %d", i)
+		}
+		if !validRow(row) {
+			return nil, fmt.Errorf("sgbrt: row %d contains NaN/Inf", i)
+		}
+	}
+	bm := &Binned{
+		n:     n,
+		cols:  make([][]float64, nf),
+		codes: make([][]uint8, nf),
+		edges: make([][]float64, nf),
+	}
+	raw := make([]float64, nf*n)
+	codes := make([]uint8, nf*n)
+	for f := range bm.cols {
+		bm.cols[f] = raw[f*n : (f+1)*n]
+		bm.codes[f] = codes[f*n : (f+1)*n]
 	}
 	for i, row := range X {
 		for f, v := range row {
-			cols[f][i] = v
+			bm.cols[f][i] = v
 		}
 	}
-	return cols
+	parallel.ForEach(nf, workers, func(f int) error {
+		bm.edges[f] = binColumn(bm.cols[f], bm.codes[f])
+		return nil
+	})
+	return bm, nil
 }
 
-// sortOrders returns, for every feature, the indices in idx sorted by
-// that feature's value. The boosting driver computes this once over the
-// full training set and filters per stage, so tree induction never
-// sorts.
-func sortOrders(X [][]float64, idx []int) [][]int {
-	nf := len(X[idx[0]])
-	orders := make([][]int, nf)
-	for f := 0; f < nf; f++ {
-		o := append([]int(nil), idx...)
-		sort.Slice(o, func(a, b int) bool { return X[o[a]][f] < X[o[b]][f] })
-		orders[f] = o
+// binColumn returns the bin edges of one column and writes every
+// row's bin code. The distinct values split into min(distinct, maxBins)
+// runs of near-equal length; a row's code is the number of edges below
+// its value, so code <= b exactly when value <= edges[b].
+func binColumn(col []float64, codes []uint8) []float64 {
+	u := slices.Clone(col)
+	slices.Sort(u)
+	u = slices.Compact(u)
+	d := len(u)
+	nb := min(d, maxBins)
+	edges := make([]float64, nb-1)
+	for b := range edges {
+		first := (b + 1) * d / nb // first distinct value of bin b+1
+		edges[b] = (u[first-1] + u[first]) / 2
 	}
-	return orders
-}
-
-// sortOrdersCols is sortOrders over the column-major view, sorting the
-// features concurrently (each feature's sort is independent, so the
-// result does not depend on the worker count).
-func sortOrdersCols(cols [][]float64, n, workers int) [][]int {
-	orders := make([][]int, len(cols))
-	sortOne := func(f int) {
-		o := make([]int, n)
-		for i := range o {
-			o[i] = i
-		}
-		col := cols[f]
-		sort.Slice(o, func(a, b int) bool { return col[o[a]] < col[o[b]] })
-		orders[f] = o
+	for i, v := range col {
+		codes[i] = uint8(sort.SearchFloat64s(edges, v))
 	}
-	if workers > 1 && len(cols) > 1 {
-		parallel.ForEach(len(cols), workers, func(f int) error { sortOne(f); return nil })
-	} else {
-		for f := range cols {
-			sortOne(f)
-		}
+	return edges
+}
+
+// Columns returns the matrix restricted to the given columns, in the
+// given order. It shares storage with bm, and fitting it gives the
+// same ensemble as binning the column subset afresh, because each
+// column's bins depend on that column alone.
+func (bm *Binned) Columns(idx []int) *Binned {
+	sub := &Binned{
+		n:     bm.n,
+		cols:  make([][]float64, len(idx)),
+		codes: make([][]uint8, len(idx)),
+		edges: make([][]float64, len(idx)),
 	}
-	return orders
+	for j, f := range idx {
+		sub.cols[j], sub.codes[j], sub.edges[j] = bm.cols[f], bm.codes[f], bm.edges[f]
+	}
+	return sub
 }
 
-// builder grows trees over the column-major training view, reusing all
-// induction buffers (working orders, partition scratch, split-side
-// cache, candidate slots) across nodes and across trees, so fitting a
-// tree allocates only its node slice.
-type builder struct {
-	cols    [][]float64 // cols[f][rowID]
-	y       []float64   // fit target, indexed by rowID
-	p       TreeParams
-	workers int
-
-	// orders holds, per feature, the working sample order of the tree
-	// being grown; grow partitions subranges of it in place.
-	orders [][]int
-	// scratch holds one stable-partition buffer per worker.
-	scratch [][]int
-	// goLeft caches, per row id, which side of the current split the
-	// row falls on, so each feature's partition is a flag lookup.
-	goLeft []bool
-	// cands holds the per-feature split candidates of the current node.
-	cands []splitCand
+// bin is one histogram entry: the target sum and row count of the
+// rows whose feature value falls in the bin.
+type bin struct {
+	sum float64
+	cnt int
 }
 
-// splitCand is one feature's best split of the current node.
+// splitCand is one feature's best split of a node.
 type splitCand struct {
 	gain float64
-	thr  float64
+	bin  int // the split sends codes <= bin left
 	ok   bool
 }
 
-// newBuilder sizes all working buffers for a training set of len(y)
-// rows and len(cols) features.
-func newBuilder(cols [][]float64, y []float64, p TreeParams) *builder {
+// builder grows trees level by level over a Binned matrix, reusing
+// every induction buffer (row partition, histogram and candidate
+// slots, level lists) across nodes and across trees, so fitting a tree
+// allocates only its node slice.
+type builder struct {
+	bm *Binned
+	y  []float64 // fit target, indexed by row
+	p  TreeParams
+
+	// off[f] is the offset of feature f's bins in a histogram;
+	// off[nf] is the histogram length.
+	off []int
+	// blocks are the contiguous feature ranges [blocks[w], blocks[w+1])
+	// each worker takes in a fan-out, balanced by bin count.
+	blocks []int
+	// inv[c] is 1/c, so the split scan never divides.
+	inv []float64
+	// rows is the working row partition of the tree being grown and ys
+	// the targets in the same order; each split partitions a segment of
+	// both in place, with scratch and sy as the stable-partition buffers.
+	rows, scratch []int
+	ys, sy        []float64
+	// hists[s] and cands[s] are slot s's histogram and per-feature
+	// split candidates; free holds the slots no pending node owns.
+	hists [][]bin
+	cands [][]splitCand
+	free  []int
+	// level holds the nodes of the depth being split, next collects
+	// the depth below, and jobs the histogram work between the two.
+	level, next []pending
+	jobs        []childWork
+}
+
+// pending is a node that may split, with its histogram and candidates
+// ready in slot.
+type pending struct {
+	node, lo, hi, slot int
+	sum                float64
+}
+
+// childWork is the histogram work for one split's children: fill the
+// smaller child's histogram from its rows [lo, hi) into slot small,
+// derive the larger child's in slot parent (in place over the parent's
+// histogram), and scan the children that may split further.
+type childWork struct {
+	small, parent int
+	lo, hi        int
+	left, right   pending
+	scanL, scanR  bool
+}
+
+// newBuilder sizes all working buffers for fits on bm with target y
+// (len(y) == bm.n).
+func newBuilder(bm *Binned, y []float64, p TreeParams) *builder {
 	p = p.withDefaults()
-	n, nf := len(y), len(cols)
-	workers := parallel.Workers(p.Workers)
-	b := &builder{cols: cols, y: y, p: p, workers: workers}
-	buf := make([]int, nf*n)
-	b.orders = make([][]int, nf)
-	for f := range b.orders {
-		b.orders[f] = buf[f*n : f*n : (f+1)*n]
+	n, nf := bm.n, len(bm.cols)
+	b := &builder{bm: bm, y: y, p: p}
+	b.off = make([]int, nf+1)
+	for f, e := range bm.edges {
+		b.off[f+1] = b.off[f] + len(e) + 1
 	}
-	b.scratch = make([][]int, workers)
-	for w := range b.scratch {
-		b.scratch[w] = make([]int, n)
+	total := b.off[nf]
+	workers := min(parallel.Workers(p.Workers), max(nf, 1))
+	b.blocks = make([]int, workers+1)
+	for w, f := 1, 0; w <= workers; w++ {
+		for f < nf && b.off[f] < w*total/workers {
+			f++
+		}
+		b.blocks[w] = f
 	}
-	b.goLeft = make([]bool, n)
-	b.cands = make([]splitCand, nf)
+	b.blocks[workers] = nf
+	b.inv = make([]float64, n+1)
+	for c := 1; c <= n; c++ {
+		b.inv[c] = 1 / float64(c)
+	}
+	b.rows = make([]int, n)
+	b.ys = make([]float64, n)
+	b.scratch = make([]int, n)
+	b.sy = make([]float64, n)
 	return b
 }
 
-// load copies the caller's per-feature sample orders into the working
-// buffers (build partitions them in place, so the input stays intact).
-func (b *builder) load(orders [][]int) {
-	for f, o := range orders {
-		b.orders[f] = append(b.orders[f][:0], o...)
+// acquire returns a free histogram slot, allocating one on first use,
+// so the slot count follows the widest level trees actually reach.
+func (b *builder) acquire() int {
+	if k := len(b.free); k > 0 {
+		s := b.free[k-1]
+		b.free = b.free[:k-1]
+		return s
 	}
+	b.hists = append(b.hists, make([]bin, b.off[len(b.off)-1]))
+	b.cands = append(b.cands, make([]splitCand, len(b.bm.cols)))
+	return len(b.hists) - 1
 }
 
-// loadFiltered projects full-sample orders down to the rows marked in
-// keep, preserving per-feature sortedness.
-func (b *builder) loadFiltered(full [][]int, keep []bool) {
-	fill := func(f int) {
-		dst := b.orders[f][:0]
-		for _, i := range full[f] {
-			if keep[i] {
-				dst = append(dst, i)
-			}
-		}
-		b.orders[f] = dst
-	}
-	if b.workers > 1 && len(full) > 1 {
-		parallel.ForEach(len(full), b.workers, func(f int) error { fill(f); return nil })
-	} else {
-		for f := range full {
-			fill(f)
-		}
-	}
-}
+func (b *builder) release(s int) { b.free = append(b.free, s) }
 
-// build grows one tree over the currently loaded sample orders.
-func (b *builder) build() (*Tree, error) {
-	if len(b.orders) == 0 || len(b.orders[0]) == 0 {
+// build grows one tree over the given rows (each in [0, bm.n));
+// rows itself is not modified.
+func (b *builder) build(rows []int) (*Tree, error) {
+	n := len(rows)
+	if n == 0 {
 		return nil, errors.New("sgbrt: empty sample index")
 	}
-	n := len(b.orders[0])
+	b.rows = append(b.rows[:0], rows...)
+	b.ys = b.ys[:n]
+	sum := 0.0
+	for k, r := range b.rows {
+		b.ys[k] = b.y[r]
+		sum += b.ys[k]
+	}
 	maxNodes := 1
 	for d := 0; d <= b.p.MaxDepth && maxNodes < 2*n-1; d++ {
 		maxNodes = 2*maxNodes + 1
 	}
-	if maxNodes > 2*n-1 {
-		maxNodes = 2*n - 1
+	maxNodes = min(maxNodes, 2*n-1)
+	t := &Tree{nFeatures: len(b.bm.cols), nodes: make([]node, 0, maxNodes)}
+	b.leaf(t, sum, n)
+	b.level = b.level[:0]
+	if b.splittable(n, 1) {
+		root := pending{node: 0, lo: 0, hi: n, slot: b.acquire(), sum: sum}
+		b.fanOut(n+maxBins, func(flo, fhi int) {
+			for f := flo; f < fhi; f++ {
+				if !b.active(f) {
+					b.cands[root.slot][f] = splitCand{}
+					continue
+				}
+				h := b.hist(root.slot, f)
+				b.fill(h, f, 0, n)
+				b.cands[root.slot][f] = b.scan(h, sum, n)
+			}
+		})
+		b.level = append(b.level, root)
 	}
-	t := &Tree{nFeatures: len(b.cols), nodes: make([]node, 0, maxNodes)}
-	b.grow(t, 0, n, 1)
+	for depth := 1; len(b.level) > 0; depth++ {
+		b.splitLevel(t, depth)
+	}
 	return t, nil
 }
 
-// grow builds the subtree for the sample segment [lo, hi) of the
-// working orders and returns its node index.
-func (b *builder) grow(t *Tree, lo, hi, depth int) int {
-	seg := b.orders[0][lo:hi]
-	sum := 0.0
-	for _, i := range seg {
-		sum += b.y[i]
-	}
-	mean := sum / float64(len(seg))
-
-	self := len(t.nodes)
+// leaf appends a leaf over cnt rows with target sum and returns its
+// index.
+func (b *builder) leaf(t *Tree, sum float64, cnt int) int {
 	t.nodes = append(t.nodes, node{
 		feature: -1, left: -1, right: -1,
-		value: mean, samples: len(seg),
+		value: sum / float64(cnt), samples: cnt,
 	})
-
-	if depth > b.p.MaxDepth || len(seg) < 2*b.p.MinLeaf {
-		return self
-	}
-	feat, thr, improvement, ok := b.bestSplit(lo, hi)
-	if !ok {
-		return self
-	}
-	nl := b.partition(lo, hi, feat, thr)
-	if nl < b.p.MinLeaf || (hi-lo)-nl < b.p.MinLeaf {
-		return self
-	}
-	l := b.grow(t, lo, lo+nl, depth+1)
-	r := b.grow(t, lo+nl, hi, depth+1)
-	t.nodes[self].feature = feat
-	t.nodes[self].threshold = thr
-	t.nodes[self].left = l
-	t.nodes[self].right = r
-	t.nodes[self].improvement = improvement
-	return self
+	return len(t.nodes) - 1
 }
 
-// bestSplit scans all features over the segment [lo, hi) for the split
-// that maximises the squared-error improvement. Features scan
-// concurrently into per-feature candidate slots; the reduce runs
-// serially in ascending feature order, so equal-gain splits resolve to
-// the lowest feature index (then, within a feature, the lowest
-// threshold) no matter how many workers ran the scans.
-func (b *builder) bestSplit(lo, hi int) (feat int, thr, improvement float64, ok bool) {
-	n := hi - lo
-	if n < 2 {
-		return 0, 0, 0, false
-	}
-	totalSum, totalSq := 0.0, 0.0
-	for _, i := range b.orders[0][lo:hi] {
-		yi := b.y[i]
-		totalSum += yi
-		totalSq += yi * yi
-	}
-	parentSSE := totalSq - totalSum*totalSum/float64(n)
-
-	nf := len(b.cols)
-	scan := func(f int) {
-		if b.p.FeatureMask != nil && !b.p.FeatureMask[f] {
-			b.cands[f] = splitCand{}
-			return
-		}
-		b.cands[f] = scanFeature(b.cols[f], b.y, b.orders[f][lo:hi], totalSum, totalSq, parentSSE, b.p.MinLeaf)
-	}
-	if b.workers > 1 && n*nf >= parallelNodeThreshold {
-		parallel.ForEach(nf, b.workers, func(f int) error { scan(f); return nil })
-	} else {
-		for f := 0; f < nf; f++ {
-			scan(f)
-		}
-	}
-
-	var best splitCand
-	bestFeat := 0
-	for f := 0; f < nf; f++ {
-		c := b.cands[f]
-		if !c.ok {
-			continue
-		}
-		if !best.ok || c.gain > best.gain+gainEpsilon {
-			best, bestFeat = c, f
-		}
-	}
-	if !best.ok {
-		return 0, 0, 0, false
-	}
-	return bestFeat, best.thr, best.gain, true
+// splittable reports whether a node of cnt rows at depth may split.
+func (b *builder) splittable(cnt, depth int) bool {
+	return depth <= b.p.MaxDepth && cnt >= 2*b.p.MinLeaf
 }
 
-// scanFeature finds one feature's best split over its pre-sorted
-// segment order. Candidates must beat the running best by more than
-// gainEpsilon, so near-equal gains keep the earlier — lower —
-// threshold.
-func scanFeature(col, y []float64, order []int, totalSum, totalSq, parentSSE float64, minLeaf int) splitCand {
-	n := len(order)
-	var c splitCand
-	leftSum, leftSq := 0.0, 0.0
-	for k := 0; k < n-1; k++ {
-		i := order[k]
-		yi := y[i]
-		leftSum += yi
-		leftSq += yi * yi
-		v := col[i]
-		// Can't split between equal feature values.
-		if v == col[order[k+1]] {
+// active reports whether feature f may be split on in the current tree.
+func (b *builder) active(f int) bool {
+	return b.p.FeatureMask == nil || b.p.FeatureMask[f]
+}
+
+// hist returns feature f's bins in the histogram of slot s.
+func (b *builder) hist(s, f int) []bin { return b.hists[s][b.off[f]:b.off[f+1]] }
+
+// splitLevel splits every pending node at depth, appending both
+// children of each split, then readies the histograms and candidates
+// of the children that may split further in one fan-out; those become
+// the next level.
+func (b *builder) splitLevel(t *Tree, depth int) {
+	b.jobs, b.next = b.jobs[:0], b.next[:0]
+	work := 0
+	for _, nd := range b.level {
+		feat, best, ok := b.pick(nd.slot)
+		if !ok {
+			b.release(nd.slot)
 			continue
 		}
-		nl, nr := k+1, n-k-1
+		nl, sumL, sumR := b.partition(nd.lo, nd.hi, feat, best.bin)
+		mid := nd.lo + nl
+		left := pending{node: b.leaf(t, sumL, nl), lo: nd.lo, hi: mid, sum: sumL}
+		right := pending{node: b.leaf(t, sumR, nd.hi-mid), lo: mid, hi: nd.hi, sum: sumR}
+		p := &t.nodes[nd.node]
+		p.feature, p.threshold, p.improvement = feat, b.bm.edges[feat][best.bin], best.gain
+		p.left, p.right = left.node, right.node
+
+		j := childWork{
+			parent: nd.slot,
+			scanL:  b.splittable(nl, depth+1),
+			scanR:  b.splittable(nd.hi-mid, depth+1),
+		}
+		if !j.scanL && !j.scanR {
+			b.release(nd.slot)
+			continue
+		}
+		j.small = b.acquire()
+		if nl <= nd.hi-mid {
+			left.slot, right.slot, j.lo, j.hi = j.small, j.parent, left.lo, left.hi
+		} else {
+			left.slot, right.slot, j.lo, j.hi = j.parent, j.small, right.lo, right.hi
+		}
+		j.left, j.right = left, right
+		b.jobs = append(b.jobs, j)
+		work += j.hi - j.lo + 3*maxBins
+		if j.scanL {
+			b.next = append(b.next, left)
+		}
+		if j.scanR {
+			b.next = append(b.next, right)
+		}
+	}
+	if len(b.jobs) > 0 {
+		b.fanOut(work, func(flo, fhi int) {
+			for f := flo; f < fhi; f++ {
+				for i := range b.jobs {
+					b.childHists(&b.jobs[i], f)
+				}
+			}
+		})
+	}
+	for _, j := range b.jobs {
+		if !j.scanL {
+			b.release(j.left.slot)
+		}
+		if !j.scanR {
+			b.release(j.right.slot)
+		}
+	}
+	b.level, b.next = b.next, b.level
+}
+
+// pick reduces a node's per-feature candidates serially in feature
+// order, so equal-gain splits go to the lowest feature index.
+func (b *builder) pick(slot int) (feat int, best splitCand, ok bool) {
+	for f, c := range b.cands[slot] {
+		if c.ok && (!best.ok || c.gain > best.gain+gainEpsilon) {
+			feat, best = f, c
+		}
+	}
+	return feat, best, best.ok
+}
+
+// partition stably reorders the segment [lo, hi) of rows and ys so
+// rows with codes[feat] <= split come first, and returns the left
+// count and both sides' target sums.
+func (b *builder) partition(lo, hi, feat, split int) (nl int, sumL, sumR float64) {
+	codes := b.bm.codes[feat]
+	rows, ys := b.rows[lo:hi], b.ys[lo:hi]
+	nr := 0
+	for k, r := range rows {
+		if int(codes[r]) <= split {
+			rows[nl], ys[nl] = r, ys[k]
+			sumL += ys[k]
+			nl++
+		} else {
+			b.scratch[nr], b.sy[nr] = r, ys[k]
+			sumR += ys[k]
+			nr++
+		}
+	}
+	copy(rows[nl:], b.scratch[:nr])
+	copy(ys[nl:], b.sy[:nr])
+	return nl, sumL, sumR
+}
+
+// childHists does feature f's share of one split's child work.
+func (b *builder) childHists(j *childWork, f int) {
+	if !b.active(f) {
+		b.cands[j.left.slot][f], b.cands[j.right.slot][f] = splitCand{}, splitCand{}
+		return
+	}
+	small, large := b.hist(j.small, f), b.hist(j.parent, f)
+	b.fill(small, f, j.lo, j.hi)
+	for i := range large {
+		sum, cnt := large[i].sum-small[i].sum, large[i].cnt-small[i].cnt
+		if cnt == 0 {
+			sum = 0 // no rounding residue in an empty bin
+		}
+		large[i] = bin{sum, cnt}
+	}
+	if j.scanL {
+		b.cands[j.left.slot][f] = b.scan(b.hist(j.left.slot, f), j.left.sum, j.left.hi-j.left.lo)
+	}
+	if j.scanR {
+		b.cands[j.right.slot][f] = b.scan(b.hist(j.right.slot, f), j.right.sum, j.right.hi-j.right.lo)
+	}
+}
+
+// fanOut runs fn over every feature, split into the builder's
+// contiguous per-worker blocks when the work — perFeature histogram
+// entries touched per feature, times the feature count — repays the
+// handoff. The caller's goroutine takes the first block.
+func (b *builder) fanOut(perFeature int, fn func(flo, fhi int)) {
+	nf := len(b.bm.cols)
+	nb := len(b.blocks) - 1
+	if nb < 2 || perFeature*nf < parallelWork {
+		fn(0, nf)
+		return
+	}
+	var wg sync.WaitGroup
+	wg.Add(nb - 1)
+	for w := 1; w < nb; w++ {
+		go func() {
+			defer wg.Done()
+			fn(b.blocks[w], b.blocks[w+1])
+		}()
+	}
+	fn(b.blocks[0], b.blocks[1])
+	wg.Wait()
+}
+
+// fill builds feature f's histogram h over the row segment [lo, hi).
+func (b *builder) fill(h []bin, f, lo, hi int) {
+	clear(h)
+	codes := b.bm.codes[f]
+	ys := b.ys[lo:hi]
+	for k, r := range b.rows[lo:hi] {
+		e := &h[codes[r]]
+		e.sum += ys[k]
+		e.cnt++
+	}
+}
+
+// scan finds the best split of one feature's histogram for a node of n
+// rows with target sum s. It ranks edges by ls²/nl + rs²/nr, which is
+// the gain plus the node's constant s²/n; an edge must beat the best so
+// far by more than gainEpsilon. An empty bin holds an exact zero sum,
+// so the edge after it scores exactly as the edge before it and loses
+// the tie.
+func (b *builder) scan(h []bin, s float64, n int) splitCand {
+	minLeaf, inv := b.p.MinLeaf, b.inv
+	parent := s * s * inv[n]
+	bar, best := parent+gainEpsilon, -1
+	score := 0.0
+	ls, nl := 0.0, 0
+	for i, e := range h[:len(h)-1] {
+		ls += e.sum
+		nl += e.cnt
+		nr := n - nl
 		if nl < minLeaf || nr < minLeaf {
 			continue
 		}
-		rightSum := totalSum - leftSum
-		rightSq := totalSq - leftSq
-		sse := (leftSq - leftSum*leftSum/float64(nl)) +
-			(rightSq - rightSum*rightSum/float64(nr))
-		gain := parentSSE - sse
-		if gain > c.gain+gainEpsilon {
-			c.gain = gain
-			c.thr = (v + col[order[k+1]]) / 2
-			c.ok = true
+		rs := s - ls
+		if v := ls*ls*inv[nl] + rs*rs*inv[nr]; v > bar {
+			score, best, bar = v, i, v+gainEpsilon
 		}
 	}
-	return c
-}
-
-// partition reorders every feature's segment [lo, hi) so rows going
-// left of the split precede rows going right, preserving per-feature
-// sortedness, and returns the left count. The side of each row is
-// computed once into goLeft; each worker partitions its features with
-// its own scratch buffer, so no memory is allocated.
-func (b *builder) partition(lo, hi int, feat int, thr float64) int {
-	col := b.cols[feat]
-	nl := 0
-	for _, i := range b.orders[feat][lo:hi] {
-		left := col[i] <= thr
-		b.goLeft[i] = left
-		if left {
-			nl++
-		}
+	if best < 0 {
+		return splitCand{}
 	}
-	part := func(w, f int) {
-		o := b.orders[f][lo:hi]
-		scratch := b.scratch[w]
-		nr, k := 0, 0
-		for _, i := range o {
-			if b.goLeft[i] {
-				o[k] = i
-				k++
-			} else {
-				scratch[nr] = i
-				nr++
-			}
-		}
-		copy(o[k:], scratch[:nr])
-	}
-	nf := len(b.orders)
-	if b.workers > 1 && (hi-lo)*nf >= parallelNodeThreshold {
-		parallel.ForEachWorker(nf, b.workers, func(w, f int) error { part(w, f); return nil })
-	} else {
-		for f := 0; f < nf; f++ {
-			part(0, f)
-		}
-	}
-	return nl
-}
-
-// buildTree fits a regression tree on the rows of X indexed by idx.
-func buildTree(X [][]float64, y []float64, idx []int, p TreeParams) (*Tree, error) {
-	if len(X) == 0 {
-		return nil, errors.New("sgbrt: empty training set")
-	}
-	if len(X) != len(y) {
-		return nil, fmt.Errorf("sgbrt: %d rows but %d targets", len(X), len(y))
-	}
-	if len(idx) == 0 {
-		return nil, errors.New("sgbrt: empty sample index")
-	}
-	return buildTreeOrdered(X, y, sortOrders(X, idx), p)
-}
-
-// buildTreeOrdered fits a tree given per-feature pre-sorted sample
-// orders (all features must cover the same sample set). The input
-// orders are not modified.
-func buildTreeOrdered(X [][]float64, y []float64, orders [][]int, p TreeParams) (*Tree, error) {
-	if len(orders) == 0 || len(orders[0]) == 0 {
-		return nil, errors.New("sgbrt: empty sample index")
-	}
-	b := newBuilder(toColumns(X), y, p)
-	b.load(orders)
-	return b.build()
+	return splitCand{gain: score - parent, bin: best, ok: true}
 }
 
 // Predict returns the tree's prediction for one feature vector.

@@ -276,6 +276,13 @@ type Pipeline struct {
 	sink    fault.RunSink
 }
 
+// storeMemBudget bounds the series bytes resident in a store the
+// pipeline opens itself from Options.StorePath. Every analysis flushes
+// what it persists, so earlier analyses' series become evictable and
+// reload lazily on read; without a bound a long-lived pipeline would
+// keep every series it ever persisted in memory.
+const storeMemBudget = 8 << 20
+
 // NewPipeline builds a pipeline with the given options. Invalid clean
 // options — including an unknown cleaner name — are rejected here, with
 // typed errors (clean.ErrBadOptions, clean.ErrUnknownCleaner), before
@@ -308,6 +315,7 @@ func NewPipeline(opts Options) (*Pipeline, error) {
 		if err != nil {
 			return nil, err
 		}
+		db.SetMemBudget(storeMemBudget)
 		p.sink = db
 	}
 	return p, nil

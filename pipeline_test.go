@@ -1,10 +1,15 @@
 package counterminer
 
 import (
+	"context"
+	"fmt"
 	"path/filepath"
+	"reflect"
 	"testing"
 
+	"counterminer/internal/collector"
 	"counterminer/internal/store"
+	"counterminer/internal/timeseries"
 )
 
 // fastOptions keeps test pipelines quick: a 24-event subset, no EIR.
@@ -181,5 +186,74 @@ func TestPipelineEventValidation(t *testing.T) {
 	}
 	if _, err := p.Analyze("wordcount"); err == nil {
 		t.Error("single event should error")
+	}
+}
+
+// TestPipelineStoreMemoryBounded: a pipeline that opens its own store
+// keeps the resident series bytes near storeMemBudget however many
+// analyses it persists, and every persisted record still reads back in
+// full, reloading evicted shards lazily.
+func TestPipelineStoreMemoryBounded(t *testing.T) {
+	p, err := NewPipeline(Options{StorePath: filepath.Join(t.TempDir(), "runs.db")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := p.sink.(*store.DB)
+	if db.MemBudget() != storeMemBudget {
+		t.Fatalf("store budget = %d, want %d", db.MemBudget(), storeMemBudget)
+	}
+	// Each analysis persists one run of 40 events × 10000 intervals,
+	// ~3.2 MB of series, so eight of them are three times the budget.
+	const events, intervals = 40, 10000
+	const perAnalysis = events * intervals * 8
+	benchmarks := p.Benchmarks()[:8]
+	want := map[string]*timeseries.Set{}
+	for k, bench := range benchmarks {
+		raw := timeseries.NewSet()
+		for e := 0; e < events; e++ {
+			vals := make([]float64, intervals)
+			for i := range vals {
+				vals[i] = float64(k*1_000_000 + e*intervals + i)
+			}
+			raw.Put(timeseries.New(fmt.Sprintf("EV_%02d", e), vals))
+		}
+		run := &collector.Run{Benchmark: bench, RunID: 1, Mode: collector.MLPX, IPC: make([]float64, intervals)}
+		ar := &analysisRun{p: p, deg: &Degradation{}, runs: []*collector.Run{run}, raw: []*timeseries.Set{raw}}
+		if err := ar.persist(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if len(ar.deg.StoreErrors) > 0 {
+			t.Fatalf("persist %s: %v", bench, ar.deg.StoreErrors)
+		}
+		if st := db.ShardStats(); st.ResidentBytes > storeMemBudget+perAnalysis {
+			t.Fatalf("after %d analyses: %d resident bytes, budget %d + one analysis %d",
+				k+1, st.ResidentBytes, storeMemBudget, perAnalysis)
+		}
+		want[bench] = raw
+	}
+	if st := db.ShardStats(); st.Evictions == 0 {
+		t.Fatalf("no shard evicted after %d MB persisted against a %d MB budget",
+			len(benchmarks)*perAnalysis>>20, storeMemBudget>>20)
+	}
+	for _, bench := range benchmarks {
+		rec, ok := db.Get(bench, 1, collector.MLPX.String())
+		if !ok {
+			t.Fatalf("%s: record missing", bench)
+		}
+		if len(rec.Series) != events {
+			t.Fatalf("%s: %d series read back, want %d", bench, len(rec.Series), events)
+		}
+		for ev, vals := range rec.Series {
+			s, err := want[bench].Lookup(ev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(vals, s.Values) {
+				t.Fatalf("%s/%s: series differs after reload", bench, ev)
+			}
+		}
+	}
+	if st := db.ShardStats(); st.Loads == 0 {
+		t.Error("reading every record back loaded no evicted shard")
 	}
 }

@@ -21,15 +21,16 @@
 #     ]
 #   }
 #
-# BENCH_PATTERN and BENCH_PKGS override the benchmark regex and the
-# package list.
+# The benchmark regex and package list come from scripts/lists.sh;
+# BENCH_PATTERN and BENCH_PKGS in the environment override them.
 set -eu
 
 cd "$(dirname "$0")/.."
 
 COUNT="${1:-3}"
-PATTERN="${BENCH_PATTERN:-Fit|BuildTreeOrdered|PredictAll|RankPairs|Distance|BatchSchedule|Store|Ring|Heartbeat|RegistryPick|BayesClean|ThresholdKNNClean|Embed|IndexLookup|PrioritySchedule|StreamFanout}"
-PKGS="${BENCH_PKGS:-./internal/sgbrt/ ./internal/interact/ ./internal/dtw/ ./internal/batch/ ./internal/store/ ./internal/cluster/ ./internal/clean/ ./internal/fingerprint/ ./internal/stream/}"
+. ./scripts/lists.sh
+PATTERN="${BENCH_PATTERN:-$BENCH_LIST}"
+PKGS="${BENCH_PKGS:-$BENCH_PKG_LIST}"
 
 n=1
 while [ -e "BENCH_${n}.json" ]; do

@@ -1,10 +1,12 @@
 #!/bin/sh
-# Full pre-commit gate: formatting, vet, build, race-enabled tests, and
-# a short allocation-aware pass over the hot-path micro-benchmarks.
+# Full pre-commit gate: formatting, vet, build, race-enabled tests, the
+# chaos soak, bounded fuzzing, and a short allocation-aware pass over
+# the hot-path micro-benchmarks.
 # Equivalent to `make check` for environments without make.
 set -eu
 
 cd "$(dirname "$0")/.."
+. ./scripts/lists.sh
 
 echo "== gofmt =="
 unformatted="$(gofmt -l .)"
@@ -27,12 +29,14 @@ echo "== go test -race =="
 go test -race ./...
 
 echo "== chaos soak (seeded fault-injection + cancellation + overload + batch + store + cluster + cleaner + fingerprint + stream sweep) =="
-go test -race -count=2 \
-    -run 'Chaos|Retry|Injection|Transient|Permanent|Corruption|Sink|KeyedRNG|Cancel|Overload|Shutdown|Drain|Batch|Schedule|Coalesce|Shard|Evict|Migrate|Cluster|Lease|Failover|Partition|Cleaner|Bayes|Classify|Fingerprint|Index|Stream|Handle|Priority' \
-    . ./internal/fault/ ./internal/serve/ ./internal/batch/ ./internal/store/ ./internal/cluster/ ./internal/clean/ ./internal/fingerprint/ ./internal/stream/
+# shellcheck disable=SC2086 # CHAOS_PKG_LIST is a deliberate word list
+go test -race -count=2 -run "$CHAOS_LIST" $CHAOS_PKG_LIST
+
+echo "== fuzz sgbrt.Load (bounded) =="
+go test -run='^$' -fuzz='^FuzzLoad$' -fuzztime=10s ./internal/sgbrt/
 
 echo "== short benchmarks =="
-go test -run='^$' -bench='Fit|BuildTreeOrdered|PredictAll|RankPairs|Distance|BatchSchedule|Store|Ring|Heartbeat|RegistryPick|BayesClean|ThresholdKNNClean|Embed|IndexLookup|PrioritySchedule|StreamFanout' \
-    -benchtime=1x -benchmem ./internal/sgbrt/ ./internal/interact/ ./internal/dtw/ ./internal/batch/ ./internal/store/ ./internal/cluster/ ./internal/clean/ ./internal/fingerprint/ ./internal/stream/
+# shellcheck disable=SC2086 # BENCH_PKG_LIST is a deliberate word list
+go test -run='^$' -bench="$BENCH_LIST" -benchtime=1x -benchmem $BENCH_PKG_LIST
 
 echo "check OK"
