@@ -27,10 +27,11 @@ race:
 chaos:
 	. ./scripts/lists.sh && $(GO) test -race -count=2 -run "$$CHAOS_LIST" $$CHAOS_PKG_LIST
 
-# Bounded fuzzing of the serialised-ensemble decoder, seeded from
-# internal/sgbrt/testdata/fuzz/FuzzLoad.
+# Bounded fuzzing of the serialised-ensemble decoder and the SSE client
+# reader, seeded from the testdata/fuzz corpora next to each target.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzLoad$$' -fuzztime=10s ./internal/sgbrt/
+	$(GO) test -run='^$$' -fuzz='^FuzzReadEvent$$' -fuzztime=10s ./pkg/client/
 
 # Short allocation-aware sweep over the hot-path micro-benchmarks
 # listed in scripts/lists.sh.

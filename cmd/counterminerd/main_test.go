@@ -281,7 +281,6 @@ func TestDaemonFlagValidation(t *testing.T) {
 		{"-cleaner", "nope"},
 		{"-store-mem", "-5MiB"},
 		{"-store-mem", "bogus"},
-		{"-coalesce-window", "-1s"},
 		{"-no-such-flag"},
 	}
 	for _, args := range cases {

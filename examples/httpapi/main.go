@@ -76,9 +76,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("batch: %d jobs -> %d executed, %d cache hits, %d deduped, %d errors (schedule %v)\n",
+	fmt.Printf("batch: %d jobs -> %d executed, %d cache hits, %d deduped, %d errors, %d groups\n",
 		batch.Stats.Submitted, batch.Stats.Executed, batch.Stats.CacheHits,
-		batch.Stats.Deduped, batch.Stats.Errors, batch.Stats.ScheduleOrder)
+		batch.Stats.Deduped, batch.Stats.Errors, batch.Stats.Groups)
 	for _, jr := range batch.Jobs { // request order, one entry per job
 		switch {
 		case jr.Error != nil:

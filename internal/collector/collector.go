@@ -71,7 +71,7 @@ type Collector struct {
 
 	// Memoization accounting: builds counts expensive generator
 	// constructions, memoHits counts lookups served from the memo.
-	// counterminerd's batch scheduler groups jobs by benchmark exactly
+	// counterminerd's queue scheduler groups jobs by benchmark exactly
 	// to grow the hit count, and /metrics exposes both so the grouping
 	// can be judged.
 	builds   atomic.Uint64

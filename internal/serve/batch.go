@@ -5,28 +5,16 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"sync/atomic"
 	"time"
 
 	counterminer "counterminer"
-	"counterminer/internal/batch"
 )
 
-// pendingJob is one admitted-but-not-yet-dispatched analysis: the
-// cache leadership (key + call) acquired by the HTTP handler, the
-// resolved spec, and the deadline carved from the server budget at
-// arrival. Both the coalescing window and the batch endpoint dispatch
-// these.
-type pendingJob struct {
-	key      string
-	call     *Call[*counterminer.Analysis]
-	spec     jobSpec
-	deadline time.Time
-}
-
 // groupKey is the scheduler's grouping key: the benchmark identity
-// (including co-location), the unit of collector memoization. Jobs
-// sharing it are dispatched adjacently so the expensive trace
-// generator is built once and then hit in the memo.
+// (including co-location), the unit of collector memoization. The
+// queue's cross-batch scheduler keeps jobs sharing it adjacent, so the
+// expensive trace generator is built once and then hit in the memo.
 func (j jobSpec) groupKey() string { return j.benchmark + "\x00" + j.colocate }
 
 // specKey is the spec's content address: the canonical request hash,
@@ -40,120 +28,183 @@ func specKey(spec jobSpec) string {
 	return k
 }
 
-// startJob submits one leader job to the admission queue under its
+// startJob submits one leader job to the admission queue under
 // deadline, filed under its benchmark-identity grouping key so the
 // cross-batch priority scheduler keeps it adjacent to other work on
-// the same benchmark. Admission failures complete the call with the
-// typed rejection so every waiter (single request, batch entry, or
-// singleflight follower) observes it instead of hanging.
-func (s *Server) startJob(pj pendingJob) {
-	_, err := s.queue.SubmitGrouped(pj.spec.groupKey(), pj.deadline, func(ctx context.Context) {
+// the same benchmark. The job publishes its outcome through the cache,
+// waking every waiter (single request, batch entry, or singleflight
+// follower). An admission failure completes the call with the typed
+// rejection instead, so no waiter hangs, and is returned; on success
+// the job's cancel-if-queued function is returned.
+func (s *Server) startJob(key string, call *Call[*counterminer.Analysis], spec jobSpec, deadline time.Time) (func(), error) {
+	cancel, err := s.queue.Submit(spec.groupKey(), deadline, func(ctx context.Context) {
 		start := time.Now()
-		a, aerr := s.analyze(ctx, pj.spec)
-		if pj.spec.kind == KindFingerprint {
+		a, aerr := s.analyze(ctx, spec)
+		if spec.kind == KindFingerprint {
 			s.metrics.ObserveEmbed(aerr, time.Since(start))
 		} else {
 			s.metrics.ObserveAnalysis(a, aerr)
-			s.syncFingerprint(pj.spec, aerr)
+			s.syncFingerprint(spec, aerr)
 		}
-		s.cache.Complete(pj.key, pj.call, a, aerr)
+		s.cache.Complete(key, call, a, aerr)
 	})
 	if err != nil {
-		s.metrics.IncRejected(err)
-		s.cache.Complete(pj.key, pj.call, nil, err)
+		s.cache.Complete(key, call, nil, err)
 	}
+	return cancel, err
 }
 
-// dispatchCoalesced is the coalescer's flush callback: the single
-// /analyze submissions that arrived within the window are scheduled as
-// one batch — grouped by benchmark identity — and dispatched in plan
-// order. Keys are unique here (identical concurrent requests share one
-// singleflight leader before ever reaching the coalescer), so the plan
-// covers every job; the leader-map walk below is a safety net for that
-// invariant, not a code path.
-func (s *Server) dispatchCoalesced(jobs []pendingJob) {
-	s.metrics.ObserveCoalesce(len(jobs))
-	if len(jobs) == 1 {
-		s.startJob(jobs[0])
-		return
-	}
-	items := make([]batch.Item, len(jobs))
-	for i, j := range jobs {
-		items[i] = batch.Item{Index: i, Key: j.key, Group: j.spec.groupKey()}
-	}
-	plan := batch.Schedule(items)
-	for _, idx := range plan.Order {
-		s.startJob(jobs[idx])
-	}
-	for i := range jobs {
-		if plan.Leader[i] != i {
-			s.startJob(jobs[i])
-		}
-	}
-}
-
-// batchJob is one resolved batch member's execution state: the spec,
-// its content address, and — once dispatched — the singleflight call
-// carrying its result.
+// batchJob is one resolved batch member: the spec, its content
+// address, the index of the job that executes on its behalf, and — for
+// a leader not served from the LRU — the singleflight call carrying
+// its result.
 type batchJob struct {
 	spec jobSpec
 	key  string
+	lead int // itself for a leader; the first job with the same key otherwise
 	call *Call[*counterminer.Analysis]
 }
 
-// plannedBatch is the shared front half of both batch endpoints
-// (synchronous and async handle): every job resolved, invalid ones
-// parked as typed per-job errors, the rest planned by the batch
-// scheduler, with the admission-time accounting started.
+// plannedBatch is the front half shared by both batch modes: every
+// job resolved, invalid ones parked as typed per-job errors, exact
+// duplicates aliased to their leader, and the admission-time
+// accounting started.
 type plannedBatch struct {
 	results []BatchJobResult
-	states  []*batchJob
-	plan    batch.Plan
+	states  []*batchJob // nil for an invalid job
+	leaders []int       // distinct jobs' indexes, in request order
 	stats   BatchStats
 }
 
 // planBatch resolves every job independently (a bad job is a typed
-// per-job error, never a batch failure) and schedules the valid ones:
-// exact duplicates collapse onto one execution, the remainder grouped
-// by benchmark identity.
+// per-job error, never a batch failure) and deduplicates the valid
+// ones by content address: the first occurrence of a key leads and
+// later ones alias it. Leaders keep request order; the queue's
+// scheduler, not the batch, decides when each one runs.
 func (s *Server) planBatch(jobs []AnalyzeRequest) plannedBatch {
-	results := make([]BatchJobResult, len(jobs))
-	states := make([]*batchJob, len(jobs))
-	items := make([]batch.Item, 0, len(jobs))
+	pb := plannedBatch{
+		results: make([]BatchJobResult, len(jobs)),
+		states:  make([]*batchJob, len(jobs)),
+		stats:   BatchStats{Submitted: len(jobs)},
+	}
+	leaderByKey := make(map[string]int, len(jobs))
+	groups := make(map[string]struct{})
 	for i, jr := range jobs {
-		results[i].Index = i
+		pb.results[i].Index = i
 		spec, herr := s.resolve(jr)
 		if herr != nil {
-			results[i].Error = &ErrorResponse{Error: herr.code, Message: herr.msg}
+			pb.results[i].Error = &ErrorResponse{Error: herr.code, Message: herr.msg}
 			continue
 		}
 		key := specKey(spec)
-		states[i] = &batchJob{spec: spec, key: key}
-		results[i].Key = key
-		items = append(items, batch.Item{Index: i, Key: key, Group: spec.groupKey()})
+		pb.results[i].Key = key
+		st := &batchJob{spec: spec, key: key, lead: i}
+		pb.states[i] = st
+		if lead, ok := leaderByKey[key]; ok {
+			st.lead = lead
+			pb.results[i].Deduped = true
+			pb.stats.Deduped++
+			continue
+		}
+		leaderByKey[key] = i
+		groups[spec.groupKey()] = struct{}{}
+		pb.leaders = append(pb.leaders, i)
 	}
-	plan := batch.Schedule(items)
-	return plannedBatch{
-		results: results,
-		states:  states,
-		plan:    plan,
-		stats: BatchStats{
-			Submitted:     len(jobs),
-			Deduped:       plan.Deduped,
-			Groups:        plan.Groups,
-			ScheduleOrder: append([]int{}, plan.Order...),
-		},
+	pb.stats.Groups = len(groups)
+	pb.stats.ScheduleOrder = append([]int{}, pb.leaders...)
+	return pb
+}
+
+// dispatchBatch is the one batch execution path behind both modes of
+// POST /analyze/batch. Each leader, in request order, is served from
+// the LRU, attached to an identical in-flight execution, or submitted
+// to the admission queue under the batch-level deadline. It returns
+// the batch's accounting (Errors is left for the caller, which sees
+// the results) and the cancel-if-queued functions of the jobs it
+// submitted.
+//
+// complete receives every job's result exactly once, from a goroutine
+// dispatchBatch starts, never from the caller's: results whose outcome
+// is already known (invalid jobs, LRU hits and their duplicates) come
+// first in request order, the rest as their leader's execution lands.
+// The batch folds into /metrics when its last result is ready, before
+// complete sees it, whether or not anyone still waits for it.
+func (s *Server) dispatchBatch(pb plannedBatch, deadline time.Time, complete func(BatchJobResult)) (BatchStats, []func()) {
+	stats := pb.stats
+	var cancels []func()
+	for _, idx := range pb.leaders {
+		st := pb.states[idx]
+		ana, ok, call, leader := s.cache.Acquire(st.key)
+		if ok {
+			pb.results[idx].Cached = true
+			pb.results[idx].Analysis = ana
+			stats.CacheHits++
+			continue
+		}
+		st.call = call
+		if !leader {
+			// An identical request (or another batch) is already
+			// executing this key; share its call.
+			continue
+		}
+		if cancel, err := s.startJob(st.key, call, st.spec, deadline); err == nil {
+			stats.Executed++
+			cancels = append(cancels, cancel)
+		}
+	}
+	go s.deliverBatch(pb, stats, complete)
+	return stats, cancels
+}
+
+// deliverBatch is dispatchBatch's delivery half; see there.
+func (s *Server) deliverBatch(pb plannedBatch, stats BatchStats, complete func(BatchJobResult)) {
+	var left, errs atomic.Int64
+	left.Store(int64(len(pb.results)))
+	deliver := func(res BatchJobResult) {
+		if res.Error != nil {
+			errs.Add(1)
+		}
+		if left.Add(-1) == 0 {
+			stats.Errors = int(errs.Load())
+			s.metrics.ObserveBatch(stats)
+		}
+		complete(res)
+	}
+	var pending []int
+	for i, st := range pb.states {
+		if st != nil && pb.states[st.lead].call != nil {
+			pending = append(pending, i)
+			continue
+		}
+		res := pb.results[i]
+		if st != nil && st.lead != i {
+			lead := pb.results[st.lead]
+			res.Cached, res.Analysis = lead.Cached, lead.Analysis
+		}
+		deliver(res)
+	}
+	for _, i := range pending {
+		go func(i int) {
+			call := pb.states[pb.states[i].lead].call
+			<-call.Done
+			res := pb.results[i]
+			if call.Err != nil {
+				res.Error = jobError(call.Err)
+			} else {
+				res.Analysis = call.Val
+			}
+			deliver(res)
+		}(i)
 	}
 }
 
 // handleAnalyzeBatch is POST /analyze/batch: a whole sweep in one
 // round-trip. Jobs are resolved individually (a bad job is a typed
 // per-job error, never a batch failure), exact duplicates collapse
-// onto one execution, the remainder is grouped by benchmark identity
-// and dispatched through the admission queue under one batch-level
-// deadline carved from the server budget, and results return as a
-// per-job array in request order with the schedule's accounting in the
-// envelope.
+// onto one execution, and the rest dispatch through the admission
+// queue under one batch-level deadline carved from the server budget.
+// Results return as a per-job array in request order with the batch's
+// accounting in the envelope.
 //
 // With ?async=1 the batch becomes a streaming handle instead: the
 // response is an immediate 202 with the handle, and per-job results
@@ -196,74 +247,23 @@ func (s *Server) handleAnalyzeBatch(w http.ResponseWriter, r *http.Request) {
 
 	start := time.Now()
 	pb := s.planBatch(req.Jobs)
-	results, states, plan, stats := pb.results, pb.states, pb.plan, pb.stats
-
-	// Dispatch leaders in plan order under one batch-level deadline:
-	// the whole sweep can hold the workers no longer than a single
-	// request could. Each job is filed under its plan grouping key, so
-	// it dispatches adjacent to same-benchmark work from other batches
-	// too.
-	deadline := time.Now().Add(s.cfg.Budget)
-	for _, idx := range plan.Order {
-		st := states[idx]
-		ana, ok, call, leader := s.cache.Acquire(st.key)
-		if ok {
-			results[idx].Cached = true
-			results[idx].Analysis = ana
-			stats.CacheHits++
-			continue
+	results := make([]BatchJobResult, len(req.Jobs))
+	var left atomic.Int64
+	left.Store(int64(len(results)))
+	landed := make(chan struct{})
+	stats, _ := s.dispatchBatch(pb, time.Now().Add(s.cfg.Budget), func(res BatchJobResult) {
+		results[res.Index] = res
+		if left.Add(-1) == 0 {
+			close(landed)
 		}
-		st.call = call
-		if !leader {
-			// An identical request (or another batch) is already
-			// executing this key; share its call.
-			continue
-		}
-		_, err := s.queue.SubmitGrouped(plan.GroupOf[idx], deadline, func(ctx context.Context) {
-			a, aerr := s.analyze(ctx, st.spec)
-			s.metrics.ObserveAnalysis(a, aerr)
-			s.syncFingerprint(st.spec, aerr)
-			s.cache.Complete(st.key, st.call, a, aerr)
-		})
-		if err != nil {
-			s.cache.Complete(st.key, st.call, nil, err)
-		} else {
-			stats.Executed++
-		}
-	}
-
-	// Wait for every in-flight job. A disconnected client abandons the
-	// wait; executions continue for the cache and other waiters.
-	for _, idx := range plan.Order {
-		st := states[idx]
-		if st.call == nil {
-			continue // served from the LRU
-		}
-		select {
-		case <-st.call.Done:
-		case <-r.Context().Done():
-			return
-		}
-		if st.call.Err != nil {
-			results[idx].Error = jobError(st.call.Err)
-		} else {
-			results[idx].Analysis = st.call.Val
-		}
-	}
-
-	// Exact duplicates share their leader's outcome.
-	for i, st := range states {
-		if st == nil {
-			continue
-		}
-		lead := plan.Leader[i]
-		if lead == i {
-			continue
-		}
-		results[i].Deduped = true
-		results[i].Cached = results[lead].Cached
-		results[i].Error = results[lead].Error
-		results[i].Analysis = results[lead].Analysis
+	})
+	// A disconnected client abandons the wait; executions continue for
+	// the cache and other waiters, and the batch still folds into
+	// /metrics when its last job lands.
+	select {
+	case <-landed:
+	case <-r.Context().Done():
+		return
 	}
 	for i := range results {
 		if results[i].Error != nil {
@@ -274,18 +274,17 @@ func (s *Server) handleAnalyzeBatch(w http.ResponseWriter, r *http.Request) {
 	// Whole-batch overload mirrors the single-job rejection: when
 	// every scheduled job died at admission, the batch answers 429/503
 	// with Retry-After instead of a per-job result array.
-	if code, all := uniformAdmissionFailure(results, plan.Order); all {
+	if code, all := uniformAdmissionFailure(results, pb.leaders); all {
 		s.metrics.IncBatchRejected()
 		status := http.StatusTooManyRequests
 		if code == "draining" {
 			status = http.StatusServiceUnavailable
 		}
 		writeError(w, status, code,
-			fmt.Sprintf("all %d scheduled jobs rejected at admission", len(plan.Order)))
+			fmt.Sprintf("all %d scheduled jobs rejected at admission", len(pb.leaders)))
 		return
 	}
 
-	s.metrics.ObserveBatch(stats)
 	writeJSON(w, http.StatusOK, BatchResponse{
 		Jobs:      results,
 		Stats:     stats,

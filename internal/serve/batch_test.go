@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -15,6 +16,7 @@ import (
 
 	counterminer "counterminer"
 	"counterminer/internal/fault"
+	"counterminer/pkg/client"
 )
 
 func postBatch(t *testing.T, url, body string) (*http.Response, []byte) {
@@ -106,10 +108,9 @@ func TestBatchDedupGroupingAndPerJobErrors(t *testing.T) {
 	}
 	want := BatchStats{
 		Submitted: 8, Deduped: 3, CacheHits: 0, Executed: 4, Errors: 1, Groups: 3,
-		// wordcount's group has two distinct jobs, so it dispatches
-		// first; sort and pagerank tie at one job each and follow in
-		// first-appearance order.
-		ScheduleOrder: []int{0, 6, 1, 3},
+		// The distinct jobs, enqueued in request order; the queue's
+		// scheduler decides when each one runs.
+		ScheduleOrder: []int{0, 1, 3, 6},
 	}
 	if !reflect.DeepEqual(br.Stats, want) {
 		t.Errorf("stats = %+v, want %+v", br.Stats, want)
@@ -148,10 +149,11 @@ func TestBatchDedupGroupingAndPerJobErrors(t *testing.T) {
 	}
 }
 
-// TestBatchDeterministicAcrossWorkers pins the scheduler's contract:
-// the same batch yields a bit-identical schedule order and per-job
-// results at every worker count (1, 2, 8), for both the queue's and
-// the analysis engine's parallelism.
+// TestBatchDeterministicAcrossWorkers pins the batch contract across
+// both modes and every worker count: the same batch yields
+// bit-identical per-job results and BatchStats sync or async (results
+// collected from the SSE stream by index), at 1, 2 and 8 workers for
+// both the queue's and the analysis engine's parallelism.
 func TestBatchDeterministicAcrossWorkers(t *testing.T) {
 	wc := func(seed int64) AnalyzeRequest {
 		return AnalyzeRequest{
@@ -165,48 +167,128 @@ func TestBatchDeterministicAcrossWorkers(t *testing.T) {
 			Events: []string{"ICACHE.*", "L2_RQSTS.*", "BR_INST_RETIRED.*"},
 		}
 	}
-	body := batchBody(t,
+	jobs := []AnalyzeRequest{
 		wc(1), srt(1), wc(2), wc(1), // one duplicate
-		AnalyzeRequest{Benchmark: "nope"}, // one typed per-job error
+		{Benchmark: "nope"}, // one typed per-job error
 		srt(2),
-	)
+	}
 
-	var first *BatchResponse
-	for _, workers := range []int{1, 2, 8} {
-		s, err := New(Config{Workers: workers, QueueDepth: 8, CacheSize: 8, AnalysisWorkers: workers})
+	// run submits the batch to a fresh server in one mode and returns
+	// what the client saw as one BatchResponse.
+	run := func(t *testing.T, url string, async bool) BatchResponse {
+		if !async {
+			resp, b := postBatch(t, url, batchBody(t, jobs...))
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("status %d: %s", resp.StatusCode, b)
+			}
+			var br BatchResponse
+			if err := json.Unmarshal(b, &br); err != nil {
+				t.Fatalf("decode: %v", err)
+			}
+			return br
+		}
+		st, err := client.New(url).AnalyzeBatchStream(context.Background(), jobs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ts := httptest.NewServer(s.Handler())
-		resp, b := postBatch(t, ts.URL, body)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("workers=%d: status %d: %s", workers, resp.StatusCode, b)
+		defer st.Close()
+		br := BatchResponse{Jobs: make([]BatchJobResult, len(jobs))}
+		for st.Next() {
+			br.Jobs[st.Result().Index] = *st.Result()
 		}
-		var br BatchResponse
-		if err := json.Unmarshal(b, &br); err != nil {
-			t.Fatalf("workers=%d: decode: %v", workers, err)
+		if err := st.Err(); err != nil {
+			t.Fatalf("stream: %v", err)
 		}
-		s.queue.Drain()
-		ts.Close()
+		if st.Done() == nil {
+			t.Fatal("stream ended without a done event")
+		}
+		br.Stats = st.Done().Stats
+		return br
+	}
 
-		// Scrub observability metadata that naturally differs between
-		// runs; everything else must be bit-identical.
-		br.ElapsedMs = 0
-		for i := range br.Jobs {
-			if br.Jobs[i].Analysis != nil {
-				br.Jobs[i].Analysis.Stages = nil
+	var first *BatchResponse
+	for _, async := range []bool{false, true} {
+		for _, workers := range []int{1, 2, 8} {
+			name := fmt.Sprintf("async=%t/workers=%d", async, workers)
+			s, err := New(Config{Workers: workers, QueueDepth: 8, CacheSize: 8, AnalysisWorkers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(s.Handler())
+			br := run(t, ts.URL, async)
+			s.queue.Drain()
+			ts.Close()
+
+			// Scrub observability metadata that naturally differs between
+			// runs; everything else must be bit-identical.
+			br.ElapsedMs = 0
+			for i := range br.Jobs {
+				if br.Jobs[i].Analysis != nil {
+					br.Jobs[i].Analysis.Stages = nil
+				}
+			}
+			if first == nil {
+				first = &br
+				continue
+			}
+			if !reflect.DeepEqual(br.Stats, first.Stats) {
+				t.Errorf("%s: stats diverged:\n got %+v\nwant %+v", name, br.Stats, first.Stats)
+			}
+			if !reflect.DeepEqual(br.Jobs, first.Jobs) {
+				t.Errorf("%s: per-job results diverged from sync at workers=1", name)
 			}
 		}
-		if first == nil {
-			first = &br
-			continue
+	}
+}
+
+// TestBatchSyncDisconnectStillCounted: a sync batch whose client goes
+// away mid-batch keeps executing for the cache and still folds into
+// /metrics once its last job lands, exactly like an async batch nobody
+// streams.
+func TestBatchSyncDisconnectStillCounted(t *testing.T) {
+	s, g := newGatedServer(t, Config{Workers: 2, QueueDepth: 8, CacheSize: 8})
+	ts := httptest.NewUnstartedServer(s.Handler())
+	closed := make(chan struct{}, 1)
+	ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateClosed {
+			closed <- struct{}{}
 		}
-		if !reflect.DeepEqual(br.Stats, first.Stats) {
-			t.Errorf("workers=%d: stats diverged:\n got %+v\nwant %+v", workers, br.Stats, first.Stats)
+	}
+	ts.Start()
+	defer ts.Close()
+	defer s.queue.Drain()
+
+	body := batchBody(t,
+		AnalyzeRequest{Benchmark: "wordcount", Seed: 1},
+		AnalyzeRequest{Benchmark: "sort", Seed: 1},
+		AnalyzeRequest{Benchmark: "pagerank", Seed: 1},
+	)
+	ctx, cancel := context.WithCancel(context.Background())
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/analyze/batch", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	errc := make(chan error, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(req)
+		if err == nil {
+			resp.Body.Close()
 		}
-		if !reflect.DeepEqual(br.Jobs, first.Jobs) {
-			t.Errorf("workers=%d: per-job results diverged from workers=1", workers)
-		}
+		errc <- err
+	}()
+	<-g.entered // the batch is executing
+	cancel()
+	if err := <-errc; err == nil {
+		t.Fatal("canceled batch request returned a response")
+	}
+	<-closed // the handler has given up on the client
+
+	close(g.release)
+	const n = 3
+	waitFor(t, "every job executed", func() bool { return s.snapshot().Analyses.Completed == n })
+	waitFor(t, "the batch counted", func() bool { return s.snapshot().Batch.Batches == 1 })
+	if b := s.snapshot().Batch; b.Jobs != n || b.Executed != n || b.JobErrors != 0 {
+		t.Errorf("batch metrics after disconnect = %+v, want %d jobs, %d executed", b, n, n)
 	}
 }
 
@@ -408,11 +490,10 @@ func TestBatchValidation(t *testing.T) {
 	}
 }
 
-// TestBatchMetricsPreRegistered: the whole batch/coalesce/collector
-// surface is present (zeroed) in /metrics before the first batch
-// arrives.
+// TestBatchMetricsPreRegistered: the whole batch/collector surface is
+// present (zeroed) in /metrics before the first batch arrives.
 func TestBatchMetricsPreRegistered(t *testing.T) {
-	s, err := New(Config{CoalesceWindow: time.Hour})
+	s, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +517,7 @@ func TestBatchMetricsPreRegistered(t *testing.T) {
 	}
 	for _, k := range []string{
 		"batches", "rejected", "jobs", "deduped", "cache_hits", "executed",
-		"job_errors", "coalesce_flushes", "coalesced_jobs", "coalesce_pending",
+		"job_errors",
 	} {
 		if _, ok := batchKeys[k]; !ok {
 			t.Errorf("batch metrics missing pre-registered key %q", k)
@@ -453,61 +534,14 @@ func TestBatchMetricsPreRegistered(t *testing.T) {
 	}
 }
 
-// TestBatchCoalesceWindowMergesSingles: with a coalescing window
-// configured, single /analyze submissions wait in the window, dispatch
-// together as one scheduled batch, and both complete.
-func TestBatchCoalesceWindowMergesSingles(t *testing.T) {
-	s, g := newGatedServer(t, Config{Workers: 2, QueueDepth: 8, CacheSize: 8, CoalesceWindow: time.Hour})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	defer s.queue.Drain()
-
-	type res struct {
-		status int
-		ar     AnalyzeResponse
-	}
-	results := make(chan res, 2)
-	for _, bench := range []string{"wordcount", "sort"} {
-		go func(bench string) {
-			resp, b := postAnalyze(t, ts.URL, fmt.Sprintf(`{"benchmark":%q}`, bench))
-			var ar AnalyzeResponse
-			json.Unmarshal(b, &ar)
-			results <- res{resp.StatusCode, ar}
-		}(bench)
-	}
-	waitFor(t, "two jobs pending in the window", func() bool { return s.coalescer.Pending() == 2 })
-	if got := g.count.Load(); got != 0 {
-		t.Fatalf("executions before the window closed = %d, want 0", got)
-	}
-	if snap := s.snapshot(); snap.Batch.CoalescePending != 2 {
-		t.Errorf("coalesce_pending gauge = %d, want 2", snap.Batch.CoalescePending)
-	}
-
-	s.coalescer.Flush()
-	close(g.release)
-	for i := 0; i < 2; i++ {
-		r := <-results
-		if r.status != http.StatusOK || r.ar.Analysis == nil {
-			t.Errorf("coalesced request %d: status %d, analysis %v", i, r.status, r.ar.Analysis)
-		}
-	}
-	snap := s.snapshot()
-	if snap.Batch.CoalesceFlushes != 1 || snap.Batch.CoalescedJobs != 2 {
-		t.Errorf("coalesce metrics = %+v, want 1 flush of 2 jobs", snap.Batch)
-	}
-	if got := g.count.Load(); got != 2 {
-		t.Errorf("executions after flush = %d, want 2", got)
-	}
-}
-
-// TestBatchSubmitDeadline pins SubmitDeadline: the job context expires
-// at the explicit deadline, the batch-level budget the scheduler
-// carves once per batch.
+// TestBatchSubmitDeadline pins Submit's explicit deadline: the job
+// context expires at it, the batch-level budget a batch carves once
+// for all its jobs.
 func TestBatchSubmitDeadline(t *testing.T) {
-	q := NewQueue(1, 0, 0)
+	q := NewQueue(1, 0)
 	errc := make(chan error, 1)
 	waitFor(t, "deadline job admitted", func() bool {
-		err := q.SubmitDeadline(time.Now().Add(20*time.Millisecond), func(ctx context.Context) {
+		_, err := q.Submit("", time.Now().Add(20*time.Millisecond), func(ctx context.Context) {
 			<-ctx.Done()
 			errc <- ctx.Err()
 		})

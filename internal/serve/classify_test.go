@@ -19,7 +19,7 @@ import (
 
 func TestConfigRejectsNegativeKnobs(t *testing.T) {
 	cases := []Config{
-		{CoalesceWindow: -time.Second},
+		{StreamHeartbeat: -time.Second},
 		{StoreMemBytes: -1},
 	}
 	for _, cfg := range cases {
@@ -34,8 +34,8 @@ func TestConfigRejectsNegativeKnobs(t *testing.T) {
 			t.Errorf("New(%+v) returned a server alongside the error", cfg)
 		}
 	}
-	// Zero remains the documented "off" value for both.
-	s, err := New(Config{CoalesceWindow: 0, StoreMemBytes: 0})
+	// Zero remains the documented default for both.
+	s, err := New(Config{StreamHeartbeat: 0, StoreMemBytes: 0})
 	if err != nil {
 		t.Fatalf("zero-valued knobs rejected: %v", err)
 	}

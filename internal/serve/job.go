@@ -120,9 +120,9 @@ func (s *Server) specFromJob(j Job) jobSpec {
 }
 
 // SetDispatch replaces local pipeline execution with a remote
-// dispatcher: every admitted analysis — single, batch, or coalesced —
-// is handed to d as a wire Job instead of running on this node's
-// pipeline. The server keeps everything else: admission control, the
+// dispatcher: every admitted analysis — single or batch — is handed
+// to d as a wire Job instead of running on this node's pipeline. The
+// server keeps everything else: admission control, the
 // content-addressed cache and singleflight, batch planning, and
 // metrics. This is how a coordinator serves the same /analyze contract
 // as a standalone daemon while the compute happens on workers.
@@ -142,9 +142,6 @@ func (s *Server) SetDispatch(d func(ctx context.Context, job Job) (*counterminer
 // from the job's content, re-deliveries of the same Job — a
 // coordinator retrying after a lost reply, or two coordinators racing
 // across a failover — deduplicate onto one execution per node.
-//
-// The coalescing window is deliberately bypassed: a dispatched job was
-// already scheduled by the coordinator's planner.
 func (s *Server) Execute(ctx context.Context, job Job) (*counterminer.Analysis, error) {
 	s.metrics.IncRequest()
 	spec := s.specFromJob(job)
@@ -156,7 +153,9 @@ func (s *Server) Execute(ctx context.Context, job Job) (*counterminer.Analysis, 
 	}
 	if leader {
 		s.metrics.IncCacheMiss()
-		s.startJob(pendingJob{key: key, call: call, spec: spec, deadline: time.Now().Add(s.cfg.Budget)})
+		if _, err := s.startJob(key, call, spec, time.Now().Add(s.cfg.Budget)); err != nil {
+			s.metrics.IncRejected(err)
+		}
 	} else {
 		s.metrics.IncShared()
 	}

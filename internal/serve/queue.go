@@ -27,14 +27,14 @@ var (
 // Queue is the admission-controlled job queue in front of the analysis
 // pipeline: a bounded cross-batch priority scheduler feeding a fixed
 // worker pool (run on internal/parallel, the same pool primitive as
-// the analysis engine itself). Jobs are keyed by the batch planner's
+// the analysis engine itself). Jobs are keyed by their
 // benchmark-identity grouping key, so jobs from different requests —
 // or different batch handles — that share a benchmark dispatch
 // adjacently and the collector's memoized trace generators stay warm
 // across clients (see stream.Scheduler for the ordering invariants).
-// Every admitted job gets its own deadline derived from the server's
-// per-request budget, so one slow analysis can never hold a worker
-// forever.
+// Every admitted job runs under the deadline its submitter carved from
+// the server's per-request budget, so one slow analysis can never hold
+// a worker forever.
 //
 // Shutdown is graceful and split by state: Drain lets jobs that are
 // already executing finish, while jobs still waiting in the scheduler
@@ -42,10 +42,9 @@ var (
 // ordinary *CancelError path and their waiters see a typed
 // cancellation, not a hang.
 type Queue struct {
-	sched  *stream.Scheduler[*queuedJob]
-	budget time.Duration
-	depth  int
-	done   chan struct{}
+	sched *stream.Scheduler[*queuedJob]
+	depth int
+	done  chan struct{}
 
 	mu       sync.Mutex
 	draining bool
@@ -66,9 +65,8 @@ type queuedJob struct {
 
 // NewQueue starts a queue with the given worker pool size, buffer
 // depth (jobs waiting beyond the ones executing; 0 means a job is only
-// admitted when a worker is idle), and per-job budget (<= 0 means no
-// deadline).
-func NewQueue(workers, depth int, budget time.Duration) *Queue {
+// admitted when a worker is idle).
+func NewQueue(workers, depth int) *Queue {
 	if workers <= 0 {
 		workers = 1
 	}
@@ -76,10 +74,9 @@ func NewQueue(workers, depth int, budget time.Duration) *Queue {
 		depth = 0
 	}
 	q := &Queue{
-		sched:  stream.NewScheduler[*queuedJob](),
-		budget: budget,
-		depth:  depth,
-		done:   make(chan struct{}),
+		sched: stream.NewScheduler[*queuedJob](),
+		depth: depth,
+		done:  make(chan struct{}),
 	}
 	go func() {
 		defer close(q.done)
@@ -113,36 +110,19 @@ func (q *Queue) loop() {
 	}
 }
 
-// Submit admits run into the queue, or rejects it with ErrQueueFull /
-// ErrDraining without blocking. An admitted job runs exactly once on
-// some worker, under a context carrying the per-job budget deadline —
-// canceled early only if the queue drains before the job starts.
-func (q *Queue) Submit(run func(context.Context)) error {
-	var deadline time.Time
-	if q.budget > 0 {
-		deadline = time.Now().Add(q.budget)
-	}
-	return q.SubmitDeadline(deadline, run)
-}
-
-// SubmitDeadline is Submit under an explicit deadline (zero means
-// none) instead of one carved per job from the server budget. The
-// batch scheduler uses it to run every job of a batch under one
-// batch-level deadline, so a sweep's total hold on the workers is
-// bounded exactly like a single request's.
-func (q *Queue) SubmitDeadline(deadline time.Time, run func(context.Context)) error {
-	_, err := q.SubmitGrouped("", deadline, run)
-	return err
-}
-
-// SubmitGrouped is SubmitDeadline with the job filed under a
-// benchmark-identity grouping key for cross-batch priority dispatch.
-// On success it also returns a cancel function that cancels the job's
-// context only while it still waits in the scheduler — the batch-handle
-// cancellation path: a queued job then executes immediately into the
-// pipeline's *CancelError, while a job already claimed by a worker is
-// left to finish normally.
-func (q *Queue) SubmitGrouped(group string, deadline time.Time, run func(context.Context)) (func(), error) {
+// Submit admits run into the queue under the given grouping key, or
+// rejects it with ErrQueueFull / ErrDraining without blocking. An
+// admitted job runs exactly once on some worker, under a context that
+// expires at deadline (zero means none). Jobs sharing a
+// benchmark-identity group dispatch adjacently across requests (see
+// stream.Scheduler).
+//
+// On success Submit also returns a cancel function that cancels the
+// job's context only while it still waits in the scheduler — the
+// batch-handle cancellation path: a queued job then executes
+// immediately into the pipeline's *CancelError, while a job already
+// claimed by a worker is left to finish normally.
+func (q *Queue) Submit(group string, deadline time.Time, run func(context.Context)) (func(), error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.draining {

@@ -37,21 +37,21 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // --- queue -----------------------------------------------------------------
 
 func TestQueueAdmissionOverload(t *testing.T) {
-	q := NewQueue(1, 1, 0)
+	q := NewQueue(1, 1)
 	started := make(chan struct{})
 	release := make(chan struct{})
-	if err := q.Submit(func(ctx context.Context) {
+	if _, err := q.Submit("", time.Time{}, func(ctx context.Context) {
 		close(started)
 		<-release
 	}); err != nil {
 		t.Fatalf("first submit: %v", err)
 	}
 	<-started
-	if err := q.Submit(func(ctx context.Context) {}); err != nil {
+	if _, err := q.Submit("", time.Time{}, func(ctx context.Context) {}); err != nil {
 		t.Fatalf("buffered submit: %v", err)
 	}
 	// Worker busy, buffer full: the third job must be rejected, typed.
-	err := q.Submit(func(ctx context.Context) {})
+	_, err := q.Submit("", time.Time{}, func(ctx context.Context) {})
 	if !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("overload submit error = %v, want ErrQueueFull", err)
 	}
@@ -63,10 +63,10 @@ func TestQueueAdmissionOverload(t *testing.T) {
 }
 
 func TestQueueDrainCancelsQueuedViaCancelError(t *testing.T) {
-	q := NewQueue(1, 2, 0)
+	q := NewQueue(1, 2)
 	started := make(chan struct{})
 	release := make(chan struct{})
-	if err := q.Submit(func(ctx context.Context) {
+	if _, err := q.Submit("", time.Time{}, func(ctx context.Context) {
 		close(started)
 		<-release
 	}); err != nil {
@@ -82,7 +82,7 @@ func TestQueueDrainCancelsQueuedViaCancelError(t *testing.T) {
 		t.Fatal(err)
 	}
 	errc := make(chan error, 1)
-	if err := q.Submit(func(ctx context.Context) {
+	if _, err := q.Submit("", time.Time{}, func(ctx context.Context) {
 		_, aerr := pipe.AnalyzeContext(ctx, "wordcount")
 		errc <- aerr
 	}); err != nil {
@@ -98,7 +98,8 @@ func TestQueueDrainCancelsQueuedViaCancelError(t *testing.T) {
 	// queued job under the same critical section), then let the active
 	// job finish so the worker reaches the queued, already-canceled one.
 	waitFor(t, "queue draining", func() bool {
-		return errors.Is(q.Submit(func(context.Context) {}), ErrDraining)
+		_, err := q.Submit("", time.Time{}, func(context.Context) {})
+		return errors.Is(err, ErrDraining)
 	})
 	close(release)
 	<-drained
@@ -114,25 +115,29 @@ func TestQueueDrainCancelsQueuedViaCancelError(t *testing.T) {
 	if ce.Stage != counterminer.StageCollect {
 		t.Errorf("canceled stage = %q, want %q", ce.Stage, counterminer.StageCollect)
 	}
-	if err := q.Submit(func(ctx context.Context) {}); !errors.Is(err, ErrDraining) {
+	if _, err := q.Submit("", time.Time{}, func(ctx context.Context) {}); !errors.Is(err, ErrDraining) {
 		t.Errorf("submit after drain = %v, want ErrDraining", err)
 	}
 }
 
+// TestQueueBudgetDeadline: the server carves each job's queue deadline
+// from Config.Budget at admission, so a job that outlives the budget
+// fails typed with 504 budget_exceeded instead of holding its worker.
 func TestQueueBudgetDeadline(t *testing.T) {
-	q := NewQueue(1, 0, 20*time.Millisecond)
-	errc := make(chan error, 1)
-	waitFor(t, "budget job admitted", func() bool {
-		err := q.Submit(func(ctx context.Context) {
-			<-ctx.Done()
-			errc <- ctx.Err()
-		})
-		return err == nil
-	})
-	if err := <-errc; !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("budget ctx error = %v, want DeadlineExceeded", err)
+	s, g := newGatedServer(t, Config{Workers: 1, QueueDepth: 1, CacheSize: 8, Budget: 20 * time.Millisecond})
+	defer close(g.release)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer s.queue.Drain()
+
+	resp, b := postAnalyze(t, ts.URL, `{"benchmark":"wordcount"}`)
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("status = %d, want 504 (body %s)", resp.StatusCode, b)
 	}
-	q.Drain()
+	var er ErrorResponse
+	if err := json.Unmarshal(b, &er); err != nil || er.Error != "budget_exceeded" {
+		t.Errorf("body = %s, want budget_exceeded", b)
+	}
 }
 
 // --- cache -----------------------------------------------------------------

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -130,8 +131,7 @@ func TestAsyncBatchStreamExactlyOnce(t *testing.T) {
 		t.Fatalf("terminal event %+v, want status done", d)
 	}
 	want := BatchStats{Submitted: 4, Deduped: 1, Executed: 2, Errors: 1, Groups: 2, ScheduleOrder: []int{0, 1}}
-	if d.Stats.Submitted != want.Submitted || d.Stats.Deduped != want.Deduped ||
-		d.Stats.Executed != want.Executed || d.Stats.Errors != want.Errors || d.Stats.Groups != want.Groups {
+	if !reflect.DeepEqual(d.Stats, want) {
 		t.Errorf("terminal stats = %+v, want %+v", d.Stats, want)
 	}
 
@@ -332,7 +332,7 @@ func TestAsyncBatchDrainDeliversTerminal(t *testing.T) {
 		close(drained)
 	}()
 	waitFor(t, "queue draining", func() bool {
-		_, err := s.queue.SubmitGrouped("", time.Time{}, func(context.Context) {})
+		_, err := s.queue.Submit("", time.Time{}, func(context.Context) {})
 		return err == ErrDraining
 	})
 	g.release <- struct{}{} // executing job finishes; queued one cancels
@@ -367,9 +367,9 @@ func TestStreamMetricsGroupGauges(t *testing.T) {
 	defer close(g.release) // before Drain: the gated executing job must finish
 	defer ts.Close()
 
-	// sort's group has two distinct jobs, so the planner dispatches it
-	// first: one sort job executes on the single worker, one sort job
-	// and the wordcount job wait in the queue under their own keys.
+	// Jobs enqueue in request order: the wordcount job executes on the
+	// single worker while both sort jobs wait in the queue under their
+	// own key.
 	body := batchBody(t,
 		AnalyzeRequest{Benchmark: "wordcount", SkipEIR: true, Seed: 1},
 		AnalyzeRequest{Benchmark: "sort", SkipEIR: true, Seed: 1},
@@ -389,16 +389,16 @@ func TestStreamMetricsGroupGauges(t *testing.T) {
 	for _, gg := range snap.Stream.QueueGroups {
 		byGroup[gg.Group] = gg
 	}
-	srt, ok := byGroup["sort"]
-	if !ok || srt.Executing != 1 || srt.Depth != 1 {
-		t.Errorf("sort gauge = %+v (groups %v), want executing 1 depth 1", srt, byGroup)
-	}
 	wc, ok := byGroup["wordcount"]
-	if !ok || wc.Depth != 1 {
-		t.Errorf("wordcount gauge = %+v (groups %v), want depth 1", wc, byGroup)
+	if !ok || wc.Executing != 1 || wc.Depth != 0 {
+		t.Errorf("wordcount gauge = %+v (groups %v), want executing 1 depth 0", wc, byGroup)
 	}
-	if wc.OldestWaitMs < 0 {
-		t.Errorf("wordcount oldest-wait = %v, want >= 0", wc.OldestWaitMs)
+	srt, ok := byGroup["sort"]
+	if !ok || srt.Executing != 0 || srt.Depth != 2 {
+		t.Errorf("sort gauge = %+v (groups %v), want executing 0 depth 2", srt, byGroup)
+	}
+	if srt.OldestWaitMs < 0 {
+		t.Errorf("sort oldest-wait = %v, want >= 0", srt.OldestWaitMs)
 	}
 }
 

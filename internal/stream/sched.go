@@ -10,9 +10,10 @@ import (
 // admission: a heap of benchmark-identity groups ordered by
 // (group-active, group-first-seen, submit-seq). Jobs from different
 // batch handles that share a grouping key dispatch adjacently, so the
-// collector's memoized trace generators stay warm across clients —
-// the property the per-request batch planner established within one
-// request, lifted to the whole server.
+// collector's memoized trace generators stay warm across clients. It is
+// the only ordering layer in admission: a batch enqueues its distinct
+// jobs in request order and the scheduler alone decides when each
+// runs.
 //
 // The ordering is deterministic and starvation-free:
 //

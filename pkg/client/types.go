@@ -110,8 +110,14 @@ type BatchStats struct {
 	Errors int `json:"errors"`
 	// Groups is the number of distinct benchmark-identity groups.
 	Groups int `json:"groups"`
-	// ScheduleOrder lists the distinct jobs' indexes in dispatch order
-	// (duplicates and invalid jobs don't appear).
+	// ScheduleOrder lists the distinct jobs' indexes in the order they
+	// were enqueued, which is request order (duplicates and invalid
+	// jobs don't appear).
+	//
+	// Deprecated: the order says nothing about execution. The daemon's
+	// cross-batch queue scheduler decides when each job actually runs,
+	// keeping same-benchmark work from every request adjacent. The
+	// field stays on the wire for old readers.
 	ScheduleOrder []int `json:"schedule_order"`
 }
 
@@ -478,13 +484,15 @@ type CacheGauges struct {
 	Evictions uint64 `json:"evictions"`
 }
 
-// BatchCounters groups the batch subsystem's counters and gauges. The
+// BatchCounters groups the batch endpoint's counters. The
 // whole surface is pre-registered: every field is present (zeroed) in
 // /metrics before the first batch arrives.
 type BatchCounters struct {
-	// Batches counts POST /analyze/batch requests accepted for
-	// scheduling; Rejected counts whole-batch overload rejections
-	// (429/503).
+	// Batches counts POST /analyze/batch requests dispatched, sync or
+	// async, once their last job has landed (whether or not the client
+	// is still connected); Rejected counts whole-batch rejections
+	// (429/503) — a sync batch whose every job died at admission
+	// counts in both.
 	Batches  uint64 `json:"batches"`
 	Rejected uint64 `json:"rejected"`
 	// Jobs / Deduped / CacheHits / Executed / JobErrors aggregate the
@@ -494,16 +502,10 @@ type BatchCounters struct {
 	CacheHits uint64 `json:"cache_hits"`
 	Executed  uint64 `json:"executed"`
 	JobErrors uint64 `json:"job_errors"`
-	// CoalesceFlushes / CoalescedJobs count admission-window merges of
-	// single /analyze submissions; CoalescePending is the live gauge of
-	// jobs waiting for the window to close.
-	CoalesceFlushes uint64 `json:"coalesce_flushes"`
-	CoalescedJobs   uint64 `json:"coalesced_jobs"`
-	CoalescePending int    `json:"coalesce_pending"`
 }
 
 // CollectorCounters reports the shared collector's trace-generator
-// memoization — the reuse the batch scheduler's benchmark grouping is
+// memoization — the reuse the queue scheduler's benchmark grouping is
 // judged by: grouped dispatch should grow MemoHits, not Builds.
 type CollectorCounters struct {
 	// Builds counts expensive trace-generator constructions (at most

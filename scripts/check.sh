@@ -35,6 +35,9 @@ go test -race -count=2 -run "$CHAOS_LIST" $CHAOS_PKG_LIST
 echo "== fuzz sgbrt.Load (bounded) =="
 go test -run='^$' -fuzz='^FuzzLoad$' -fuzztime=10s ./internal/sgbrt/
 
+echo "== fuzz client SSE reader (bounded) =="
+go test -run='^$' -fuzz='^FuzzReadEvent$' -fuzztime=10s ./pkg/client/
+
 echo "== short benchmarks =="
 # shellcheck disable=SC2086 # BENCH_PKG_LIST is a deliberate word list
 go test -run='^$' -bench="$BENCH_LIST" -benchtime=1x -benchmem $BENCH_PKG_LIST
