@@ -27,11 +27,12 @@ race:
 chaos:
 	. ./scripts/lists.sh && $(GO) test -race -count=2 -run "$$CHAOS_LIST" $$CHAOS_PKG_LIST
 
-# Bounded fuzzing of the serialised-ensemble decoder and the SSE client
-# reader, seeded from the testdata/fuzz corpora next to each target.
+# Bounded fuzzing of every target listed in scripts/lists.sh, seeded
+# from the testdata/fuzz corpora next to each target.
 fuzz:
-	$(GO) test -run='^$$' -fuzz='^FuzzLoad$$' -fuzztime=10s ./internal/sgbrt/
-	$(GO) test -run='^$$' -fuzz='^FuzzReadEvent$$' -fuzztime=10s ./pkg/client/
+	. ./scripts/lists.sh && for pair in $$FUZZ_LIST; do \
+		$(GO) test -run='^$$' -fuzz="^$${pair#*:}\$$" -fuzztime=10s "$${pair%%:*}" || exit 1; \
+	done
 
 # Short allocation-aware sweep over the hot-path micro-benchmarks
 # listed in scripts/lists.sh.

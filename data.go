@@ -9,10 +9,9 @@ import (
 	"strconv"
 
 	"counterminer/internal/clean"
+	"counterminer/internal/collector"
 	"counterminer/internal/fingerprint"
-	"counterminer/internal/interact"
-	"counterminer/internal/rank"
-	"counterminer/internal/sgbrt"
+	"counterminer/internal/sim"
 	"counterminer/internal/timeseries"
 )
 
@@ -33,10 +32,21 @@ type DataSet struct {
 	Y []float64
 }
 
-// Validate checks the data set's shape.
+// Validate checks the data set's shape and that every event name is
+// non-empty and distinct.
 func (d *DataSet) Validate() error {
 	if len(d.Events) == 0 {
 		return errors.New("counterminer: data set without events")
+	}
+	seen := make(map[string]bool, len(d.Events))
+	for _, ev := range d.Events {
+		if ev == "" {
+			return errors.New("counterminer: empty event name")
+		}
+		if seen[ev] {
+			return fmt.Errorf("counterminer: duplicate event %q", ev)
+		}
+		seen[ev] = true
 	}
 	if len(d.X) == 0 {
 		return errors.New("counterminer: data set without rows")
@@ -71,15 +81,7 @@ func (d *DataSet) CleanContext(ctx context.Context, opts clean.Options) (outlier
 	if err != nil {
 		return 0, 0, err
 	}
-	set := timeseries.NewSet()
-	for j, ev := range d.Events {
-		col := make([]float64, len(d.X))
-		for i := range d.X {
-			col[i] = d.X[i][j]
-		}
-		set.Put(timeseries.New(ev, col))
-	}
-	cleaned, rep, err := cleaner.Clean(ctx, set, clean.Meta{Benchmark: "external"}, opts)
+	cleaned, rep, err := cleaner.Clean(ctx, d.series(), clean.Meta{Benchmark: "external"}, opts)
 	if err != nil {
 		return 0, 0, fmt.Errorf("counterminer: %w", err)
 	}
@@ -96,15 +98,21 @@ func (d *DataSet) CleanContext(ctx context.Context, opts clean.Options) (outlier
 }
 
 // Fingerprint returns the data set's workload fingerprint: the
-// counter-signature embedding of its event columns, with Y as the IPC
-// series (see internal/fingerprint). Raw and cleaned data embed
-// closely — the features are robust statistics — so the fingerprint
-// of an uncleaned perf capture can be classified against an index
-// built from cleaned analyses.
+// counter-signature embedding of its raw event columns, with Y as the
+// IPC series, treated as one run (see internal/fingerprint). The
+// classification index is built from the raw series the pipeline
+// stores, so an uncleaned perf capture is embedded exactly as a stored
+// run would be.
 func (d *DataSet) Fingerprint() ([]float64, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
+	return fingerprint.Combine([][]float64{fingerprint.Embed(d.series(), d.Y)}), nil
+}
+
+// series returns the data set's event columns as a series set. The
+// columns are copies: cleaning the set leaves d untouched.
+func (d *DataSet) series() *timeseries.Set {
 	set := timeseries.NewSet()
 	for j, ev := range d.Events {
 		col := make([]float64, len(d.X))
@@ -113,16 +121,19 @@ func (d *DataSet) Fingerprint() ([]float64, error) {
 		}
 		set.Put(timeseries.New(ev, col))
 	}
-	return fingerprint.Embed(set, d.Y), nil
+	return set
 }
 
-// AnalyzeDataContext runs the mining stages — optional cleaning,
+// AnalyzeDataContext runs the pipeline's mining stages — cleaning,
 // EIR/MAPM importance ranking, interaction ranking, and workload
-// fingerprinting — on an external data set, under the given context
-// with the AnalyzeContext cancellation contract (stage plan Clean →
-// Rank → Interact → Fingerprint). The simulator is not involved; this
-// is the entry point for real perf measurements. Options fields that
-// concern collection (Runs, Events, StorePath) are ignored.
+// fingerprinting — on an external data set treated as one run, under
+// the given context with the AnalyzeContext cancellation contract
+// (stage plan Clean → Rank → Interact → Fingerprint). The simulator is
+// not involved; this is the entry point for real perf measurements.
+// d is not modified, and the fingerprint is that of the raw data
+// (DataSet.Fingerprint), whichever cleaner ran. Options fields that
+// concern collection (Runs, Events, StorePath, Source, Sink, Retry,
+// MinRuns) are ignored, and event names are reported as given.
 func AnalyzeDataContext(ctx context.Context, d *DataSet, opts Options) (*Analysis, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
@@ -133,99 +144,22 @@ func AnalyzeDataContext(ctx context.Context, d *DataSet, opts Options) (*Analysi
 		return nil, err
 	}
 	opts = opts.withDefaults()
-
-	ana := &Analysis{Benchmark: "external", Cleaner: opts.CleanOptions.Cleaner, Events: len(d.Events)}
-	var mapm *rank.Model
-	sr := &stageRunner{ctx: ctx}
-	err := sr.run([]stage{
-		{StageClean, func(ctx context.Context) error {
-			copts := opts.CleanOptions
-			if copts.Workers == 0 {
-				copts.Workers = opts.Workers
-			}
-			out, miss, err := d.CleanContext(ctx, copts)
-			if err != nil {
-				return err
-			}
-			ana.OutliersReplaced, ana.MissingFilled = out, miss
-			return nil
-		}},
-		{StageRank, func(ctx context.Context) error {
-			ropts := rank.Options{
-				Params:    sgbrt.Params{Trees: opts.Trees, MaxDepth: 4, Seed: opts.Seed, Workers: opts.Workers},
-				PruneStep: opts.PruneStep,
-				Seed:      opts.Seed,
-			}
-			if opts.SkipEIR {
-				m, err := rank.FitCtx(ctx, d.X, d.Y, d.Events, ropts)
-				if err != nil {
-					return err
-				}
-				mapm = m
-				ana.EIRNumEvents = []int{len(d.Events)}
-				ana.EIRErrors = []float64{m.TestError}
-			} else {
-				res, err := rank.EIRCtx(ctx, d.X, d.Y, d.Events, ropts)
-				if err != nil {
-					return err
-				}
-				mapm = res.MAPM()
-				ana.EIRNumEvents, ana.EIRErrors = res.Curve()
-			}
-			ana.ModelError = mapm.TestError
-			ana.MAPMEvents = len(mapm.Events)
-			for _, ei := range mapm.Ranking {
-				ana.Importance = append(ana.Importance, EventScore{
-					Event: ei.Event, Abbrev: ei.Event, Importance: ei.Importance,
-				})
-			}
-			return nil
-		}},
-		{StageInteract, func(ctx context.Context) error {
-			top := mapm.TopK(opts.TopK)
-			if len(top) < 2 {
-				return nil
-			}
-			names := make([]string, len(top))
-			for i, ei := range top {
-				names[i] = ei.Event
-			}
-			subX, err := matrixColumns(d.X, d.Events, names)
-			if err != nil {
-				return err
-			}
-			iModel, err := rank.FitCtx(ctx, subX, d.Y, names, rank.Options{
-				Params: sgbrt.Params{Trees: opts.Trees * 2, MaxDepth: 4, Seed: opts.Seed, Workers: opts.Workers},
-				Seed:   opts.Seed,
-			})
-			if err != nil {
-				return err
-			}
-			pairs, err := interact.RankPairsCtx(ctx, iModel, subX, names, interact.Options{Workers: opts.Workers})
-			if err != nil {
-				return err
-			}
-			for _, ps := range pairs {
-				ana.Interactions = append(ana.Interactions, PairScore{
-					A: ps.A, B: ps.B, Importance: ps.Importance,
-				})
-			}
-			return nil
-		}},
-		{StageFingerprint, func(ctx context.Context) error {
-			vec, err := d.Fingerprint()
-			if err != nil {
-				return err
-			}
-			ana.Fingerprint = vec
-			return nil
-		}},
-	})
-	ana.Stages = sr.timings
+	cleaner, err := clean.Lookup(opts.CleanOptions.Cleaner)
 	if err != nil {
 		return nil, err
 	}
-	return ana, nil
+	// No catalogue, source or sink: external event names pass through
+	// abbrev unchanged, and nothing is collected or persisted.
+	p := &Pipeline{opts: opts, cleaner: cleaner}
+	ar := p.newAnalysisRun(sim.Profile{Name: "external"}, d.Events)
+	ar.kept = d.Events
+	ar.runs = []*collector.Run{{Benchmark: "external", Series: d.series(), IPC: d.Y}}
+	return ar.execute(ctx, []stage{
+		{StageClean, ar.clean},
+		{StageRank, ar.rank},
+		{StageInteract, ar.interact},
+		{StageFingerprint, ar.fingerprint},
+	})
 }
 
 // AnalyzeData runs AnalyzeDataContext with a background context.

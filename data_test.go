@@ -45,6 +45,14 @@ func TestDataSetValidate(t *testing.T) {
 	if err := d.Validate(); err == nil {
 		t.Error("ragged row should fail")
 	}
+	d = &DataSet{Events: []string{"A", "A"}, X: [][]float64{{1, 2}}, Y: []float64{1}}
+	if err := d.Validate(); err == nil {
+		t.Error("duplicate event name should fail")
+	}
+	d = &DataSet{Events: []string{"A", ""}, X: [][]float64{{1, 2}}, Y: []float64{1}}
+	if err := d.Validate(); err == nil {
+		t.Error("empty event name should fail")
+	}
 	if err := syntheticDataSet(10).Validate(); err != nil {
 		t.Errorf("valid data set rejected: %v", err)
 	}
@@ -137,6 +145,8 @@ func TestLoadCSVValidation(t *testing.T) {
 		{"bad-ipc", "interval,EV,ipc\n0,1,xyz\n"},
 		{"bad-interval", "interval,EV,ipc\nzero,1,1\n"},
 		{"no-rows", "interval,EV,ipc\n"},
+		{"duplicate-event", "interval,EV,EV,ipc\n0,1,2,1\n"},
+		{"empty-event", "interval,,ipc\n0,1,1\n"},
 	}
 	for _, c := range cases {
 		if _, err := LoadCSV(strings.NewReader(c.csv)); err == nil {

@@ -16,8 +16,9 @@
 //     relative influence, refined by iteratively pruning the least
 //     important events (EIR) until the most accurate performance model
 //     (MAPM) is found;
-//   - an interaction ranker scoring event pairs by the residual
-//     variance of pairwise linear models.
+//   - an interaction ranker scoring event pairs by the non-additive
+//     part of the performance model's response over each pair (a
+//     two-way ANOVA interaction sum of squares; see DESIGN.md §2).
 //
 // Because this build is hardware-free, the paper's 4-node Haswell-E
 // cluster, Linux perf, and the CloudSuite/HiBench benchmarks are

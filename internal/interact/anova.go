@@ -6,8 +6,8 @@ import (
 	"counterminer/internal/sgbrt"
 )
 
-// anovaGridSize is the per-axis grid resolution of the BasisANOVA
-// interaction estimator.
+// anovaGridSize is the per-axis grid resolution of the interaction
+// estimator.
 const anovaGridSize = 12
 
 // quantileGrid returns k representative values of xs: the

@@ -29,53 +29,6 @@ func TestQuantileGridFollowsDistribution(t *testing.T) {
 	}
 }
 
-func TestBinIndexEdges(t *testing.T) {
-	edges := []float64{1, 2, 3}
-	cases := []struct {
-		x    float64
-		want int
-	}{{0, 0}, {1, 0}, {1.5, 1}, {2, 1}, {2.5, 2}, {3, 2}, {9, 3}}
-	for _, c := range cases {
-		if got := binIndex(edges, c.x); got != c.want {
-			t.Errorf("binIndex(%v) = %d, want %d", c.x, got, c.want)
-		}
-	}
-}
-
-func TestFitAdditiveAbsorbsAdditiveStructure(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	n := 400
-	xa := make([]float64, n)
-	xb := make([]float64, n)
-	obsAdd := make([]float64, n)
-	obsMul := make([]float64, n)
-	for i := 0; i < n; i++ {
-		xa[i] = rng.Float64() * 4
-		xb[i] = rng.Float64() * 4
-		obsAdd[i] = math.Sin(xa[i]) + xb[i]*xb[i] // additive, nonlinear
-		obsMul[i] = xa[i] * xb[i]                 // interacting
-	}
-	residual := func(obs []float64) float64 {
-		fit, err := fitAdditive(xa, xb, obs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ss := 0.0
-		for i := range obs {
-			d := fit[i] - obs[i]
-			ss += d * d
-		}
-		return ss
-	}
-	rAdd, rMul := residual(obsAdd), residual(obsMul)
-	if rMul < 5*rAdd {
-		t.Errorf("additive residual %v not ≪ interacting residual %v", rAdd, rMul)
-	}
-	if _, err := fitAdditive(xa[:5], xb[:5], obsAdd[:5]); err == nil {
-		t.Error("too-few observations should error")
-	}
-}
-
 // fitInteractionModel builds a small 3-feature model where features
 // (0,1) interact.
 func fitInteractionModel(t *testing.T) (*rank.Model, [][]float64, []string) {
@@ -98,27 +51,17 @@ func fitInteractionModel(t *testing.T) (*rank.Model, [][]float64, []string) {
 	return m, X, events
 }
 
-func TestAllBasesAgreeOnDominantPair(t *testing.T) {
-	m, X, events := fitInteractionModel(t)
-	for _, basis := range []Basis{BasisANOVA, BasisAdditive, BasisQuadratic, BasisLinear} {
-		scores, err := RankPairs(m, X, events, Options{Basis: basis})
-		if err != nil {
-			t.Fatalf("basis %d: %v", basis, err)
-		}
-		if len(scores) != 3 {
-			t.Fatalf("basis %d: %d pairs", basis, len(scores))
-		}
-		if !(scores[0].A == "A" && scores[0].B == "B") {
-			t.Errorf("basis %d: top pair = %s, want A-B (%+v)", basis, scores[0].Key(), scores)
-		}
-	}
-}
-
 func TestANOVASeparationIsStrong(t *testing.T) {
 	m, X, events := fitInteractionModel(t)
-	scores, err := RankPairs(m, X, events, Options{Basis: BasisANOVA})
+	scores, err := RankPairs(m, X, events, Options{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(scores) != 3 {
+		t.Fatalf("%d pairs, want 3", len(scores))
+	}
+	if !(scores[0].A == "A" && scores[0].B == "B") {
+		t.Errorf("top pair = %s, want A-B (%+v)", scores[0].Key(), scores)
 	}
 	// The true interacting pair should dwarf the additive ones.
 	if scores[0].Importance < 60 {
@@ -126,9 +69,32 @@ func TestANOVASeparationIsStrong(t *testing.T) {
 	}
 }
 
-func TestFitPairUnknownBasis(t *testing.T) {
-	if _, err := fitPair([]float64{1}, []float64{1}, []float64{1}, Basis(99)); err == nil {
-		t.Error("unknown basis should error")
+// TestAllBasesAgreeOnDominantPair checks that the ANOVA basis, the one
+// pair-scoring basis, ranks the true interacting pair A-B first and
+// returns the same ranking for every worker count.
+func TestAllBasesAgreeOnDominantPair(t *testing.T) {
+	m, X, events := fitInteractionModel(t)
+	var first []PairScore
+	for _, workers := range []int{1, 2, 3} {
+		scores, err := RankPairs(m, X, events, Options{Workers: workers})
+		if err != nil {
+			t.Fatalf("workers %d: %v", workers, err)
+		}
+		if len(scores) != 3 {
+			t.Fatalf("workers %d: %d pairs", workers, len(scores))
+		}
+		if !(scores[0].A == "A" && scores[0].B == "B") {
+			t.Errorf("workers %d: top pair = %s, want A-B (%+v)", workers, scores[0].Key(), scores)
+		}
+		if first == nil {
+			first = scores
+			continue
+		}
+		for i := range scores {
+			if scores[i] != first[i] {
+				t.Errorf("workers %d: pair %d = %+v, want %+v", workers, i, scores[i], first[i])
+			}
+		}
 	}
 }
 
@@ -150,7 +116,7 @@ func TestAnovaInteractionZeroForAdditiveSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scores, err := RankPairs(m, X, events, Options{Basis: BasisANOVA})
+	scores, err := RankPairs(m, X, events, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,17 @@
 // Package interact implements CounterMiner's interaction ranker
-// (§III-D). For each pair of important events it trains a linear
-// regression model of performance on the pair — with every other event
-// held at its mean — and takes the residual variance (eq. (12)) as the
-// interaction intensity: an additive pair is captured perfectly by the
-// linear model, an interacting pair is not. Intensities are normalised
-// across pairs into percentages (eq. (13)).
+// (§III-D). An event pair interacts when its joint effect on performance
+// is not the sum of its separate effects. For each pair of important
+// events the ranker evaluates the performance model on a quantile grid
+// over the pair — with every other event held at its mean — removes the
+// grid's row and column effects exactly (a two-way ANOVA), and takes the
+// remaining sum of squares as the interaction intensity. Intensities
+// are normalised across pairs into percentages (eq. (13)).
+//
+// The paper measures intensity as the residual variance of a linear
+// regression on the pair (eq. (12)). A linear null model cannot absorb
+// the univariate staircase of a tree-ensemble oracle, so that residual
+// mixes main-effect curvature into the interaction score; the ANOVA
+// residual is exactly the surface's non-additive part.
 //
 // "Performance with all other events at their means" cannot be
 // re-measured on demand, so, as in the paper, the fitted SGBRT
@@ -20,14 +27,13 @@ import (
 
 	"counterminer/internal/parallel"
 	"counterminer/internal/rank"
-	"counterminer/internal/regress"
 )
 
 // PairScore is one ranked event-pair interaction.
 type PairScore struct {
 	// A and B are the pair's event names, in the order given.
 	A, B string
-	// Intensity is the raw residual variance of eq. (12).
+	// Intensity is the raw interaction sum of squares.
 	Intensity float64
 	// Importance is the normalised share of eq. (13), in percent.
 	Importance float64
@@ -36,46 +42,16 @@ type PairScore struct {
 // Key renders the pair as "A-B".
 func (p PairScore) Key() string { return p.A + "-" + p.B }
 
-// Basis selects the per-pair model whose residual variance measures
-// interaction intensity.
-type Basis int
-
-const (
-	// BasisANOVA (default) evaluates the performance model on a
-	// quantile grid over the pair and removes row and column effects
-	// exactly (two-way ANOVA): the remaining sum of squares is the
-	// response surface's non-additive — interacting — part. It absorbs
-	// arbitrary univariate structure, including the staircase artifacts
-	// of a tree-ensemble oracle.
-	BasisANOVA Basis = iota
-	// BasisAdditive backfits binned partial effects
-	// mu + f_a(x_a) + f_b(x_b) on sampled points.
-	BasisAdditive
-	// BasisLinear is the paper's literal linear regression on
-	// (x_a, x_b).
-	BasisLinear
-	// BasisQuadratic adds squared self-terms to the linear basis.
-	BasisQuadratic
-)
-
 // Options configures the interaction ranking.
 type Options struct {
-	// MaxSamples bounds how many observation rows are used per pair
-	// (default 200; rows are strided evenly).
-	MaxSamples int
-	// Basis selects the additive null model (default BasisAdditive).
-	Basis Basis
 	// Workers bounds how many pairs are scored concurrently; <= 0 uses
 	// GOMAXPROCS. Results are identical for every worker count.
 	Workers int
 }
 
-func (o Options) withDefaults() Options {
-	if o.MaxSamples <= 0 {
-		o.MaxSamples = 200
-	}
-	return o
-}
+// maxSamples bounds how many observation rows (strided evenly) the
+// quantile grids are drawn from.
+const maxSamples = 200
 
 // RankPairs scores every unordered pair among `important` (a subset of
 // the model's events) and returns the pairs sorted by descending
@@ -98,7 +74,6 @@ func RankPairsCtx(ctx context.Context, m *rank.Model, X [][]float64, important [
 	if len(important) < 2 {
 		return nil, fmt.Errorf("interact: need at least 2 events, got %d", len(important))
 	}
-	opts = opts.withDefaults()
 
 	colIdx := make(map[string]int, len(m.Events))
 	for i, ev := range m.Events {
@@ -125,27 +100,19 @@ func RankPairsCtx(ctx context.Context, m *rank.Model, X [][]float64, important [
 		means[j] /= float64(len(X))
 	}
 
-	// Strided row subset.
+	// Per-column quantile grids over an evenly strided row subset.
 	stride := 1
-	if len(X) > opts.MaxSamples {
-		stride = len(X) / opts.MaxSamples
+	if len(X) > maxSamples {
+		stride = len(X) / maxSamples
 	}
-	var rows [][]float64
-	for i := 0; i < len(X); i += stride {
-		rows = append(rows, X[i])
-	}
-
-	// Per-column quantile grids for the ANOVA basis.
 	grids := make(map[int][]float64, len(important))
-	if opts.Basis == BasisANOVA {
-		for _, ev := range important {
-			c := colIdx[ev]
-			col := make([]float64, len(rows))
-			for i, row := range rows {
-				col[i] = row[c]
-			}
-			grids[c] = quantileGrid(col, anovaGridSize)
+	for _, ev := range important {
+		c := colIdx[ev]
+		var col []float64
+		for i := 0; i < len(X); i += stride {
+			col = append(col, X[i][c])
 		}
+		grids[c] = quantileGrid(col, anovaGridSize)
 	}
 
 	// Enumerate the pairs up front, then score them concurrently: every
@@ -170,42 +137,12 @@ func RankPairsCtx(ctx context.Context, m *rank.Model, X [][]float64, important [
 		ca, cb := colIdx[a], colIdx[b]
 		point := points[w]
 
-		var v float64
-		if opts.Basis == BasisANOVA {
-			// Evaluate the performance model on the pair's grid,
-			// everything else at its mean, and take the two-way
-			// interaction sum of squares.
-			iv, err := anovaInteraction(m.Ensemble, point, means, ca, cb, grids[ca], grids[cb])
-			if err != nil {
-				return fmt.Errorf("interact: pair %s-%s: %w", a, b, err)
-			}
-			v = iv
-		} else {
-			// Query the performance model over the pair's observed
-			// joint values, everything else at its mean.
-			xa := make([]float64, len(rows))
-			xb := make([]float64, len(rows))
-			obs := make([]float64, len(rows))
-			for i, row := range rows {
-				copy(point, means)
-				point[ca] = row[ca]
-				point[cb] = row[cb]
-				p, err := m.Ensemble.Predict(point)
-				if err != nil {
-					return err
-				}
-				xa[i], xb[i] = row[ca], row[cb]
-				obs[i] = p
-			}
-			pred, err := fitPair(xa, xb, obs, opts.Basis)
-			if err != nil {
-				return fmt.Errorf("interact: pair %s-%s: %w", a, b, err)
-			}
-			rv, err := regress.ResidualVariance(pred, obs)
-			if err != nil {
-				return err
-			}
-			v = rv
+		// Evaluate the performance model on the pair's grid, everything
+		// else at its mean, and take the two-way interaction sum of
+		// squares.
+		v, err := anovaInteraction(m.Ensemble, point, means, ca, cb, grids[ca], grids[cb])
+		if err != nil {
+			return fmt.Errorf("interact: pair %s-%s: %w", a, b, err)
 		}
 		scores[k] = PairScore{A: a, B: b, Intensity: v}
 		return nil
@@ -228,31 +165,6 @@ func RankPairsCtx(ctx context.Context, m *rank.Model, X [][]float64, important [
 		return scores[i].Importance > scores[j].Importance
 	})
 	return scores, nil
-}
-
-// fitPair fits the selected additive null model and returns fitted
-// values for each observation.
-func fitPair(xa, xb, obs []float64, basis Basis) ([]float64, error) {
-	switch basis {
-	case BasisAdditive:
-		return fitAdditive(xa, xb, obs)
-	case BasisLinear, BasisQuadratic:
-		design := make([][]float64, len(obs))
-		for i := range obs {
-			if basis == BasisLinear {
-				design[i] = []float64{xa[i], xb[i]}
-			} else {
-				design[i] = []float64{xa[i], xb[i], xa[i] * xa[i], xb[i] * xb[i]}
-			}
-		}
-		lin, err := regress.Fit(design, obs)
-		if err != nil {
-			return nil, err
-		}
-		return lin.PredictAll(design)
-	default:
-		return nil, fmt.Errorf("interact: unknown basis %d", basis)
-	}
 }
 
 // TopK returns the k strongest interactions (fewer if fewer exist).

@@ -98,24 +98,6 @@ func TestRankPairsValidation(t *testing.T) {
 	}
 }
 
-func TestRankPairsMaxSamples(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	X, y, events := interactionData(rng, 1200)
-	m := fitModel(t, X, y, events)
-	s1, err := RankPairs(m, X, []string{"E0", "E1", "E2"}, Options{MaxSamples: 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := RankPairs(m, X, []string{"E0", "E1", "E2"}, Options{MaxSamples: 400})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Both sample sizes must agree on the dominant pair.
-	if s1[0].Key() != s2[0].Key() {
-		t.Errorf("dominant pair differs across sample sizes: %s vs %s", s1[0].Key(), s2[0].Key())
-	}
-}
-
 func TestTopKAndContains(t *testing.T) {
 	scores := []PairScore{
 		{A: "a", B: "b", Importance: 50},

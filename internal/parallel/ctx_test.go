@@ -48,10 +48,20 @@ func TestForEachCtxCancelMidFlight(t *testing.T) {
 	for _, cancelAt := range []int{0, 1, 7, 31} {
 		for _, workers := range []int{1, 2, 8} {
 			ctx, cancel := context.WithCancel(context.Background())
-			var ran atomic.Int64
+			var ran, atCancel atomic.Int64
 			err := ForEachCtx(ctx, 10_000, workers, func(i int) error {
-				if int(ran.Add(1)) == cancelAt+1 {
+				switch n := int(ran.Add(1)); {
+				case n == cancelAt+1:
 					cancel()
+					// Other workers keep claiming items until cancel()
+					// has closed the done channel, so the bound counts
+					// from here, not from the cancelling item.
+					atCancel.Store(ran.Load())
+				case n > cancelAt+1:
+					// Hold later items until the cancellation lands, so
+					// a descheduled canceller cannot let the pool finish
+					// all n items (which would rightly return nil).
+					<-ctx.Done()
 				}
 				return nil
 			})
@@ -60,12 +70,12 @@ func TestForEachCtxCancelMidFlight(t *testing.T) {
 				t.Fatalf("cancelAt=%d workers=%d: err = %v, want context.Canceled",
 					cancelAt, workers, err)
 			}
-			// Cancellation is observed between items: each in-flight
-			// worker may finish the item it already claimed, but no
-			// more than `workers` extra items can run.
-			if n := ran.Load(); n > int64(cancelAt+1+workers) {
-				t.Errorf("cancelAt=%d workers=%d: %d items ran after cancel",
-					cancelAt, workers, n)
+			// Cancellation is observed between items: once it has
+			// settled, each worker may finish the item it already
+			// claimed, but no more than `workers` extra items can run.
+			if n, at := ran.Load(), atCancel.Load(); n > at+int64(workers) {
+				t.Errorf("cancelAt=%d workers=%d: %d items ran, %d when cancel returned",
+					cancelAt, workers, n, at)
 			}
 		}
 	}

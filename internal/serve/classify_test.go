@@ -154,6 +154,7 @@ func TestClassifyValidation(t *testing.T) {
 		{`{"benchmark":"wordcount","runs":-1}`, http.StatusBadRequest, "bad_request"},
 		{`{"benchmark":"wordcount","top_k":-1}`, http.StatusBadRequest, "bad_request"},
 		{`{"events":["A"],"x":[[1],[2]],"ipc":[1]}`, http.StatusBadRequest, "bad_request"},
+		{`{"events":["A","A"],"x":[[1,2],[3,4]],"ipc":[1,1]}`, http.StatusBadRequest, "bad_request"},
 	}
 	for _, tc := range cases {
 		resp, body := postClassify(t, ts.URL, tc.body)

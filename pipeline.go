@@ -395,21 +395,15 @@ func (p *Pipeline) FingerprintContext(ctx context.Context, benchmark, colocate s
 	if events == nil {
 		events = p.cat.Events()
 	}
-	ar := &analysisRun{
-		p:      p,
-		prof:   prof,
-		events: events,
-		ana:    &Analysis{Benchmark: prof.Name, Cleaner: p.cleaner.Name(), Events: len(events)},
-	}
-	ar.deg = &ar.ana.Degradation
-	sr := &stageRunner{ctx: ctx}
-	if err := sr.run([]stage{
+	ar := p.newAnalysisRun(prof, events)
+	ana, err := ar.execute(ctx, []stage{
 		{StageCollect, ar.collect},
 		{StageFingerprint, ar.fingerprint},
-	}); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
-	return ar.ana.Fingerprint, nil
+	return ana.Fingerprint, nil
 }
 
 // analysisRun carries one analysis through the stage plan: the options
@@ -430,6 +424,30 @@ type analysisRun struct {
 	mapm *rank.Model       // Rank: the most accurate performance model
 }
 
+// newAnalysisRun starts an analysis of the given events of prof.
+func (p *Pipeline) newAnalysisRun(prof sim.Profile, events []string) *analysisRun {
+	ar := &analysisRun{
+		p:      p,
+		prof:   prof,
+		events: events,
+		ana:    &Analysis{Benchmark: prof.Name, Cleaner: p.cleaner.Name(), Events: len(events)},
+	}
+	ar.deg = &ar.ana.Degradation
+	return ar
+}
+
+// execute runs the stage plan under ctx, records the stage timings on
+// the Analysis, and returns it once every stage has completed.
+func (ar *analysisRun) execute(ctx context.Context, plan []stage) (*Analysis, error) {
+	sr := &stageRunner{ctx: ctx}
+	err := sr.run(plan)
+	ar.ana.Stages = sr.timings
+	if err != nil {
+		return nil, err
+	}
+	return ar.ana, nil
+}
+
 // analyzeProfile executes the stage plan over one (possibly
 // co-located) profile.
 func (p *Pipeline) analyzeProfile(ctx context.Context, prof sim.Profile) (*Analysis, error) {
@@ -441,15 +459,8 @@ func (p *Pipeline) analyzeProfile(ctx context.Context, prof sim.Profile) (*Analy
 		return nil, errors.New("counterminer: need at least two events")
 	}
 
-	ar := &analysisRun{
-		p:      p,
-		prof:   prof,
-		events: events,
-		ana:    &Analysis{Benchmark: prof.Name, Cleaner: p.cleaner.Name(), Events: len(events)},
-	}
-	ar.deg = &ar.ana.Degradation
-	sr := &stageRunner{ctx: ctx}
-	err := sr.run([]stage{
+	ar := p.newAnalysisRun(prof, events)
+	return ar.execute(ctx, []stage{
 		{StageCollect, ar.collect},
 		{StageValidate, ar.validate},
 		{StageClean, ar.clean},
@@ -458,11 +469,6 @@ func (p *Pipeline) analyzeProfile(ctx context.Context, prof sim.Profile) (*Analy
 		{StageFingerprint, ar.fingerprint},
 		{StagePersist, ar.persist},
 	})
-	ar.ana.Stages = sr.timings
-	if err != nil {
-		return nil, err
-	}
-	return ar.ana, nil
 }
 
 // collect gathers the configured runs, each wrapped in the capped-
@@ -776,8 +782,13 @@ func subset(in *timeseries.Set, events []string) *timeseries.Set {
 	return out
 }
 
-// abbrev maps an event name to its catalogue abbreviation (or itself).
+// abbrev maps an event name to its catalogue abbreviation, or returns
+// it unchanged when it is not in the catalogue or the pipeline has none
+// (the external data path).
 func (p *Pipeline) abbrev(event string) string {
+	if p.cat == nil {
+		return event
+	}
 	if ev, ok := p.cat.ByName(event); ok {
 		return ev.Abbrev
 	}

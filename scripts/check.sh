@@ -32,11 +32,10 @@ echo "== chaos soak (seeded fault-injection + cancellation + overload + batch + 
 # shellcheck disable=SC2086 # CHAOS_PKG_LIST is a deliberate word list
 go test -race -count=2 -run "$CHAOS_LIST" $CHAOS_PKG_LIST
 
-echo "== fuzz sgbrt.Load (bounded) =="
-go test -run='^$' -fuzz='^FuzzLoad$' -fuzztime=10s ./internal/sgbrt/
-
-echo "== fuzz client SSE reader (bounded) =="
-go test -run='^$' -fuzz='^FuzzReadEvent$' -fuzztime=10s ./pkg/client/
+for pair in $FUZZ_LIST; do
+    echo "== fuzz ${pair#*:} (bounded) =="
+    go test -run='^$' -fuzz="^${pair#*:}\$" -fuzztime=10s "${pair%%:*}"
+done
 
 echo "== short benchmarks =="
 # shellcheck disable=SC2086 # BENCH_PKG_LIST is a deliberate word list

@@ -16,9 +16,15 @@
 # determinism across worker counts), and the fingerprint subsystem
 # (embedding determinism, index rebuilds, classify caching across index
 # versions).
+#
+# FUZZ_LIST holds the bounded fuzz targets as package:target pairs, one
+# per decoder of untrusted bytes: the serialised-ensemble loader, the
+# client's SSE frame reader and the CSV loader.
 
 BENCH_LIST='Fit|BuildTree|PredictAll|RankPairs|Distance|Store|Ring|Heartbeat|RegistryPick|BayesClean|ThresholdKNNClean|Embed|IndexLookup|PrioritySchedule|StreamFanout'
 BENCH_PKG_LIST='./internal/sgbrt/ ./internal/interact/ ./internal/dtw/ ./internal/store/ ./internal/cluster/ ./internal/clean/ ./internal/fingerprint/ ./internal/stream/'
 
 CHAOS_LIST='Chaos|Retry|Injection|Transient|Permanent|Corruption|Sink|KeyedRNG|Cancel|Overload|Shutdown|Drain|Batch|Schedule|Shard|Evict|Migrate|Cluster|Lease|Failover|Partition|Cleaner|Bayes|Classify|Fingerprint|Index|Stream|Handle|Priority'
 CHAOS_PKG_LIST='. ./internal/fault/ ./internal/serve/ ./internal/store/ ./internal/cluster/ ./internal/clean/ ./internal/fingerprint/ ./internal/stream/'
+
+FUZZ_LIST='./internal/sgbrt/:FuzzLoad ./pkg/client/:FuzzReadEvent .:FuzzLoadCSV'
