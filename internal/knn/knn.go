@@ -5,10 +5,11 @@
 package knn
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // DefaultK is the neighbour count the paper found accurate enough.
@@ -70,7 +71,10 @@ func (r *Regressor) predictWith(ns []neighbour, x float64) float64 {
 	for i := range r.xs {
 		ns[i] = neighbour{dist: math.Abs(r.xs[i] - x), y: r.ys[i]}
 	}
-	sort.Slice(ns, func(i, j int) bool { return ns[i].dist < ns[j].dist })
+	// slices.SortFunc runs the same pdqsort as sort.Slice without its
+	// reflection-based swapper, so tied distances (x−d and x+d) keep
+	// the order, and the sum the bits, that sort.Slice gave them.
+	slices.SortFunc(ns, func(a, b neighbour) int { return cmp.Compare(a.dist, b.dist) })
 	k := r.k
 	if k > len(ns) {
 		k = len(ns)

@@ -3,6 +3,8 @@ package knn
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -182,6 +184,39 @@ func TestImputeBoundedProperty(t *testing.T) {
 			if out[i] < min-1e-9 || out[i] > max+1e-9 {
 				t.Fatalf("trial %d: imputed %v outside [%v, %v]", trial, out[i], min, max)
 			}
+		}
+	}
+}
+
+// TestNeighbourOrderMatchesSortSlice pins predictWith's sort to the
+// order sort.Slice gives, ties included: which of two equally distant
+// neighbours makes the k cut, and the order the k values are summed
+// in, decide the imputed bits. Sample indices as features make ties
+// the rule (x−d and x+d), and the sizes span the insertion-sort and
+// pdqsort regimes.
+func TestNeighbourOrderMatchesSortSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 500; trial++ {
+		n := 1 + rng.Intn(300)
+		r := NewRegressor(1 + rng.Intn(8))
+		xs, ys := make([]float64, n), make([]float64, n)
+		for i := range xs {
+			xs[i] = float64(rng.Intn(n/2 + 1))
+			ys[i] = rng.NormFloat64()
+		}
+		if err := r.Fit(xs, ys); err != nil {
+			t.Fatal(err)
+		}
+		x := float64(rng.Intn(n/2 + 1))
+		got := make([]neighbour, n)
+		r.predictWith(got, x)
+		want := make([]neighbour, n)
+		for i := range want {
+			want[i] = neighbour{dist: math.Abs(xs[i] - x), y: ys[i]}
+		}
+		sort.Slice(want, func(i, j int) bool { return want[i].dist < want[j].dist })
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d (n=%d, x=%v): neighbour order differs from sort.Slice", trial, n, x)
 		}
 	}
 }

@@ -1,9 +1,9 @@
-// Package parallel is the shared bounded worker pool behind every
-// compute-heavy path in the analysis engine: SGBRT split search and
-// stage updates, the pairwise interaction ranker, the DTW error
-// sweeps, and KNN imputation in the cleaner. It replaces the ad-hoc
-// per-package goroutine helpers with one implementation and one
-// determinism contract:
+// Package parallel holds the shared bounded worker pool behind every
+// compute-heavy path in the analysis engine — SGBRT binning, the
+// pairwise interaction ranker, the DTW error sweeps, and KNN
+// imputation in the cleaner — and the Crew that runs SGBRT's per-level
+// split search. It replaces the ad-hoc per-package goroutine helpers
+// with one implementation and one determinism contract:
 //
 //   - Work items are identified by index; every result must be written
 //     to its own index-addressed slot, never appended or reduced

@@ -1,6 +1,7 @@
 package sgbrt
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -41,6 +42,32 @@ func BenchmarkFit(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkFitBinned fits one model at the Rank stage's shape on a
+// matrix binned once outside the timer, which is what every EIR round
+// repeats: 80 trees of depth 4 on 0.7 subsamples of 936 rows, over all
+// 229 events (the first round) and over 120 and 40 (later rounds,
+// after EIR has dropped events).
+func BenchmarkFitBinned(b *testing.B) {
+	for _, nf := range []int{229, 120, 40} {
+		X, y := benchMatrix(936, nf)
+		bm, err := Bin(X, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("features=%d/workers=%d", nf, workers), func(b *testing.B) {
+				p := Params{Trees: 80, MaxDepth: 4, Subsample: 0.7, Seed: 1, Workers: workers}
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := FitBinnedCtx(context.Background(), bm, y, p); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package sgbrt
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -52,10 +53,15 @@ func TestBestSplitTieBreakThreshold(t *testing.T) {
 // TestFitParallelMatchesSerial: the fitted ensemble must be
 // bit-identical for any worker count — tree structure, predictions,
 // and importances. The small case stays below parallelWork and runs
-// serially at every worker count; the production-shape case (the Rank
-// stage's 936 training rows × 229 events, depth 4, 0.7 subsample)
-// crosses it, so it exercises the feature-block fan-out itself.
+// serially at every worker count. The narrow case (936 rows × 24
+// events, the size of a late EIR round) was below the old 1<<15
+// threshold at every level and crosses the current one, so it runs on
+// the crew; the production-shape case (the Rank stage's 936 training
+// rows × 229 events, depth 4, 0.7 subsample) crosses either. The crew
+// has at most GOMAXPROCS workers, so the test raises GOMAXPROCS for
+// 3 and 8 workers to run as 3 and 8 feature blocks on any host.
 func TestFitParallelMatchesSerial(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	rng := rand.New(rand.NewSource(11))
 	n, p := 300, 12
 	smallX := make([][]float64, n)
@@ -68,6 +74,7 @@ func TestFitParallelMatchesSerial(t *testing.T) {
 		smallX[i] = row
 		smallY[i] = 2*row[0] - row[1] + row[2]*row[3]/25 + rng.NormFloat64()*0.5
 	}
+	narrowX, narrowY := benchMatrix(936, 24)
 	prodX, prodY := benchMatrix(936, 229)
 	cases := []struct {
 		name   string
@@ -76,6 +83,7 @@ func TestFitParallelMatchesSerial(t *testing.T) {
 		params Params
 	}{
 		{"300x12", smallX, smallY, Params{Trees: 25, Seed: 9, ColSample: 0.6}},
+		{"936x24", narrowX, narrowY, Params{Trees: 20, MaxDepth: 4, Subsample: 0.7, Seed: 5}},
 		{"936x229", prodX, prodY, Params{Trees: 20, MaxDepth: 4, Subsample: 0.7, Seed: 5}},
 	}
 	for _, tc := range cases {
@@ -83,7 +91,7 @@ func TestFitParallelMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{2, 8} {
+		for _, workers := range []int{2, 3, 8} {
 			par, err := Fit(tc.X, tc.y, withWorkers(tc.params, workers))
 			if err != nil {
 				t.Fatal(err)
@@ -133,7 +141,9 @@ func TestBuildTreeDoesNotMutateBinned(t *testing.T) {
 	}
 	rows := []int{49, 3, 17, 0, 8, 22, 31, 40, 11, 5}
 	wantRows := append([]int(nil), rows...)
-	if _, err := newBuilder(bm, y, TreeParams{MaxDepth: 4}).build(rows); err != nil {
+	tb := newBuilder(bm, y, TreeParams{MaxDepth: 4})
+	defer tb.close()
+	if _, err := tb.build(rows); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(bm, want) {

@@ -31,19 +31,21 @@
 //     lowest bin edge.
 //
 // Trees grow level by level. The histogram work of a whole level fans
-// out over contiguous feature blocks, one task per worker; each
+// out over contiguous feature blocks, one per worker, on a
+// parallel.Crew that the fit starts once and stops when it returns, so
+// a level is handed to helpers that are already running; each
 // feature's candidate lands in its own slot and the reduce runs
 // serially in feature order, so the induced tree is identical for
-// every worker count.
+// every worker count, and whichever worker takes a block.
 package sgbrt
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"sort"
-	"sync"
 
 	"counterminer/internal/parallel"
 )
@@ -59,8 +61,14 @@ const gainEpsilon = 1e-12
 // parallelWork is the minimum histogram work of a fan-out, in
 // histogram entries touched (rows filled plus bins scanned, summed
 // over features), before it splits across workers; below it the
-// goroutine handoff costs more than the work.
-const parallelWork = 1 << 15
+// hand-off to the crew costs more than the work. With the crew's
+// helpers already running, that hand-off is a few microseconds, so
+// the late EIR rounds (19–60 events) fan out too. BenchmarkFitBinned
+// at 2 workers on a 2-core x86 host: at 40 features a fit took
+// 20–26 ms at 1<<12 and 29–32 ms at the old 1<<15, which kept the
+// upper levels serial; thresholds from 1<<10 to 1<<14 measured alike,
+// and at 229 and 19 features every threshold was within noise.
+const parallelWork = 1 << 12
 
 // node is one node of a CART regression tree stored in a flat slice.
 type node struct {
@@ -229,8 +237,9 @@ type builder struct {
 	// off[f] is the offset of feature f's bins in a histogram;
 	// off[nf] is the histogram length.
 	off []int
-	// blocks are the contiguous feature ranges [blocks[w], blocks[w+1])
-	// each worker takes in a fan-out, balanced by bin count.
+	// blocks are the contiguous feature ranges [blocks[k], blocks[k+1])
+	// the workers claim in a fan-out, balanced by bin count; there are
+	// min(Workers, GOMAXPROCS, features) of them, one per worker.
 	blocks []int
 	// inv[c] is 1/c, so the split scan never divides.
 	inv []float64
@@ -248,6 +257,9 @@ type builder struct {
 	// the depth below, and jobs the histogram work between the two.
 	level, next []pending
 	jobs        []childWork
+	// crew runs the fan-outs; the first one that splits starts it, and
+	// the builder's owner stops it with close.
+	crew *parallel.Crew
 }
 
 // pending is a node that may split, with its histogram and candidates
@@ -279,7 +291,7 @@ func newBuilder(bm *Binned, y []float64, p TreeParams) *builder {
 		b.off[f+1] = b.off[f] + len(e) + 1
 	}
 	total := b.off[nf]
-	workers := min(parallel.Workers(p.Workers), max(nf, 1))
+	workers := min(parallel.Workers(p.Workers), runtime.GOMAXPROCS(0), max(nf, 1))
 	b.blocks = make([]int, workers+1)
 	for w, f := 1, 0; w <= workers; w++ {
 		for f < nf && b.off[f] < w*total/workers {
@@ -504,9 +516,9 @@ func (b *builder) childHists(j *childWork, f int) {
 }
 
 // fanOut runs fn over every feature, split into the builder's
-// contiguous per-worker blocks when the work — perFeature histogram
-// entries touched per feature, times the feature count — repays the
-// handoff. The caller's goroutine takes the first block.
+// contiguous blocks when the work — perFeature histogram entries
+// touched per feature, times the feature count — repays the hand-off
+// to the crew, which the first fan-out starts.
 func (b *builder) fanOut(perFeature int, fn func(flo, fhi int)) {
 	nf := len(b.bm.cols)
 	nb := len(b.blocks) - 1
@@ -514,16 +526,17 @@ func (b *builder) fanOut(perFeature int, fn func(flo, fhi int)) {
 		fn(0, nf)
 		return
 	}
-	var wg sync.WaitGroup
-	wg.Add(nb - 1)
-	for w := 1; w < nb; w++ {
-		go func() {
-			defer wg.Done()
-			fn(b.blocks[w], b.blocks[w+1])
-		}()
+	if b.crew == nil {
+		b.crew = parallel.NewCrew(nb)
 	}
-	fn(b.blocks[0], b.blocks[1])
-	wg.Wait()
+	b.crew.Run(nb, func(k int) { fn(b.blocks[k], b.blocks[k+1]) })
+}
+
+// close stops the builder's crew, if a fan-out started one.
+func (b *builder) close() {
+	if b.crew != nil {
+		b.crew.Close()
+	}
 }
 
 // fill builds feature f's histogram h over the row segment [lo, hi).

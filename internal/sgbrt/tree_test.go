@@ -25,7 +25,9 @@ func fitTree(X [][]float64, y []float64, p TreeParams) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newBuilder(bm, y, p).build(allIdx(len(X)))
+	b := newBuilder(bm, y, p)
+	defer b.close()
+	return b.build(allIdx(len(X)))
 }
 
 func TestTreeFitsStepFunction(t *testing.T) {
